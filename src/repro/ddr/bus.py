@@ -23,6 +23,7 @@ every issued command, exactly as the FPGA taps the routed CA wires.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -66,8 +67,40 @@ class Collision:
 Snooper = Callable[[int, CAState], None]
 
 
+class _Lane:
+    """The live reservations of one bus (CA or DQ), sorted by start time.
+
+    ``starts`` holds the sorted start times and ``entries`` the matching
+    ``(seq, reservation)`` pairs, ``seq`` being the order in which the
+    bus made them.  No reservation in the lane is longer than
+    ``longest``, so every one that can overlap ``[start, end)`` starts
+    inside ``(start - longest, end)``: two bisections find them all.
+    """
+
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.entries: list[tuple[int, Reservation]] = []
+        self.longest = 0
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+
 class SharedBus:
-    """One memory channel shared by the host iMC and the NVMC."""
+    """One memory channel shared by the host iMC and the NVMC.
+
+    Each bus keeps its live reservations in a :class:`_Lane` indexed by
+    start time.  A new reservation is checked only against those that
+    start within one reservation length before it, and the overlaps are
+    reported in the order the overlapped reservations were made.  The
+    ``collisions`` list and every raised error are therefore those of a
+    scan over all live reservations in that order.
+
+    Contract: no issue time steps back more than ``PRUNE_HORIZON_PS``
+    behind the latest one.  Pruning drops reservations that ended more
+    than ``PRUNE_HORIZON_PS`` before the issue time that prunes them, so
+    under the contract no later reservation can overlap one it dropped.
+    """
 
     #: Reservations older than this are pruned (nothing checks that far back).
     PRUNE_HORIZON_PS = 10_000_000  # 10 us
@@ -80,8 +113,9 @@ class SharedBus:
         self.raise_on_collision = raise_on_collision
         self.tracer = tracer if tracer is not None else default_tracer()
         self.trace_owner = next_owner(f"bus.{device.name}")
-        self._ca: list[Reservation] = []
-        self._dq: list[Reservation] = []
+        self._ca = _Lane()
+        self._dq = _Lane()
+        self._seq = 0   # reservations made, both lanes: their report order
         self.collisions: list[Collision] = []
         self.commands_issued = 0
         self._snoopers: list[Snooper] = []
@@ -158,37 +192,52 @@ class SharedBus:
             fields["win_end"] = now_ps + self.spec.trfc_ps
         self.tracer.emit(now_ps, "ddr.cmd", str(command), **fields)
 
-    def _reserve(self, lane: list[Reservation], bus_name: str, master: str,
+    def _reserve(self, lane: _Lane, bus_name: str, master: str,
                  command: Command, start_ps: int, end_ps: int) -> None:
-        for existing in lane:
-            if existing.master != master and existing.overlaps(start_ps, end_ps):
-                collision = Collision(bus_name, start_ps, existing,
-                                      master, command)
-                self.collisions.append(collision)
-                self.tracer.emit(start_ps, "ddr.collision",
-                                 f"{bus_name} collision",
-                                 owner=self.trace_owner,
-                                 first=existing.master, second=master)
-                if self.raise_on_collision:
-                    raise BusCollisionError(
-                        f"{bus_name} bus collision at {start_ps} ps: "
-                        f"{existing.master} ({existing.command}) vs "
-                        f"{master} ({command})",
-                        time_ps=start_ps,
-                        masters=(existing.master, master))
-            elif existing.master == master and existing.overlaps(start_ps,
-                                                                 end_ps):
-                raise ProtocolError(
-                    f"{master} overlapped its own {bus_name} slot at "
-                    f"{start_ps} ps ({existing.command} vs {command})")
-        lane.append(Reservation(master, start_ps, end_ps, command))
+        starts = lane.starts
+        lo = bisect_right(starts, start_ps - lane.longest)
+        hi = bisect_left(starts, end_ps, lo)
+        if lo < hi:
+            overlapped = sorted(entry for entry in lane.entries[lo:hi]
+                                if entry[1].end_ps > start_ps)
+            for _seq, existing in overlapped:
+                if existing.master != master:
+                    collision = Collision(bus_name, start_ps, existing,
+                                          master, command)
+                    self.collisions.append(collision)
+                    self.tracer.emit(start_ps, "ddr.collision",
+                                     f"{bus_name} collision",
+                                     owner=self.trace_owner,
+                                     first=existing.master, second=master)
+                    if self.raise_on_collision:
+                        raise BusCollisionError(
+                            f"{bus_name} bus collision at {start_ps} ps: "
+                            f"{existing.master} ({existing.command}) vs "
+                            f"{master} ({command})",
+                            time_ps=start_ps,
+                            masters=(existing.master, master))
+                else:
+                    raise ProtocolError(
+                        f"{master} overlapped its own {bus_name} slot at "
+                        f"{start_ps} ps ({existing.command} vs {command})")
+        self._seq += 1
+        at = bisect_right(starts, start_ps, lo)
+        starts.insert(at, start_ps)
+        lane.entries.insert(at, (self._seq, Reservation(
+            master, start_ps, end_ps, command)))
+        if end_ps - start_ps > lane.longest:
+            lane.longest = end_ps - start_ps
 
     def _prune(self, now_ps: int) -> None:
         horizon = now_ps - self.PRUNE_HORIZON_PS
-        if self._ca and self._ca[0].end_ps < horizon:
-            self._ca = [r for r in self._ca if r.end_ps >= horizon]
-        if self._dq and self._dq[0].end_ps < horizon:
-            self._dq = [r for r in self._dq if r.end_ps >= horizon]
+        for lane in (self._ca, self._dq):
+            # A reservation starting before ``cut`` ended before the horizon.
+            cut = horizon - lane.longest
+            starts = lane.starts
+            if starts and starts[0] < cut:
+                drop = bisect_left(starts, cut)
+                del starts[:drop]
+                del lane.entries[:drop]
 
     @property
     def collision_count(self) -> int:

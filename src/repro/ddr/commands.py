@@ -89,10 +89,15 @@ _ENCODINGS: dict[CommandKind, tuple[bool, ...]] = {
 }
 
 
+#: One shared pin state per kind: ``CAState`` is frozen, so every command
+#: of a kind can hand out the same instance.
+_STATES: dict[CommandKind, CAState] = {
+    kind: CAState(*levels) for kind, levels in _ENCODINGS.items()}
+
+
 def encode(kind: CommandKind) -> CAState:
-    """CA pin state for a command kind."""
-    cke, cs_n, act_n, ras_n, cas_n, we_n, cke_prev = _ENCODINGS[kind]
-    return CAState(cke, cs_n, act_n, ras_n, cas_n, we_n, cke_prev)
+    """CA pin state for a command kind (one shared instance per kind)."""
+    return _STATES[kind]
 
 
 def is_refresh_state(state: CAState) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.ddr.bus import SharedBus
 from repro.ddr.commands import Command, CommandKind
+from repro.ddr.device import AddressParts
 from repro.ddr.spec import DDR4Spec
 from repro.errors import ProtocolError
 
@@ -49,8 +50,8 @@ class DDR4Controller:
         out = bytearray()
         last_cmd_ps = t
         for burst_addr in self._bursts(addr, nbytes):
-            t = self._prepare_row(burst_addr, t)
             parts = self.bus.device.decode(burst_addr)
+            t = self._prepare_row(parts, t)
             column = parts.column_byte // self.spec.burst_bytes
             data = self.bus.issue(self.name, Command(
                 CommandKind.RD, bank=parts.bank, row=parts.row,
@@ -70,8 +71,8 @@ class DDR4Controller:
         last_cmd_ps = t
         burst = self.spec.burst_bytes
         for i, burst_addr in enumerate(self._bursts(addr, len(data))):
-            t = self._prepare_row(burst_addr, t)
             parts = self.bus.device.decode(burst_addr)
+            t = self._prepare_row(parts, t)
             column = parts.column_byte // burst
             chunk = data[i * burst:(i + 1) * burst]
             self.bus.issue(self.name, Command(
@@ -139,9 +140,8 @@ class DDR4Controller:
                     earliest = max(earliest, write_end + self.spec.twr_ps)
         return earliest
 
-    def _prepare_row(self, addr: int, t: int) -> int:
+    def _prepare_row(self, parts: AddressParts, t: int) -> int:
         """Ensure the burst's row is open; returns the command-issue time."""
-        parts = self.bus.device.decode(addr)
         current = self.open_rows.get(parts.bank, -1)
         if current == parts.row:
             return t

@@ -25,7 +25,7 @@ import itertools
 import random
 from typing import Callable
 
-from repro.ddr.commands import CAState
+from repro.ddr.commands import CAState, is_refresh_state
 from repro.nvmc.deserializer import Deserializer, word_bits
 
 #: Monitored pin names, board-routing order (§IV-A).
@@ -125,7 +125,6 @@ class RefreshDetector:
 
     def observe(self, time_ps: int, state: CAState) -> None:
         """Consume one command slot from the CA bus tap."""
-        from repro.ddr.commands import is_refresh_state
         self.commands_observed += 1
         truth = is_refresh_state(state)
         levels = state.pins()
