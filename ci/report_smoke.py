@@ -1,0 +1,100 @@
+"""Check the report a CI smoke job wrote, through ``repro.report.check``.
+
+Usage, from the repository root with ``PYTHONPATH=src``::
+
+    python ci/report_smoke.py KIND DIR [RERUN_DIR]
+
+``KIND`` is one of ``faults``, ``soak``, ``crash``, ``fleet``, ``chaos``
+or ``aging``.  The single ``<PREFIX>_*.json`` report in ``DIR`` must
+match its declared ``SHAPE`` and pass the job's own assertions (crash:
+ok, >= 50 cut points, >= 1 drain cut, no committed loss, no torn page
+served; soak: zero data loss).  With ``RERUN_DIR`` the rerun's report
+must equal the first byte for byte once ``generated_at`` is nulled.
+Exits 0 when every check holds, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import glob
+import importlib
+import json
+import sys
+
+from repro.report import check
+
+#: kind -> (report file prefix, module declaring its SHAPE)
+REPORTS = {
+    "faults": ("FAULTS", "repro.faults.report"),
+    "soak": ("SOAK", "repro.health.report"),
+    "crash": ("RECOVERY", "repro.recovery.report"),
+    "fleet": ("FLEET", "repro.fleet.report"),
+    "chaos": ("CHAOS", "repro.fleet.chaos_report"),
+    "aging": ("AGING", "repro.aging.report"),
+}
+
+
+def crash_failures(payload: dict) -> list[str]:
+    totals = payload["totals"]
+    print(f"cut_points={totals['cut_points']} "
+          f"drain_cuts={totals['drain_cuts']} "
+          f"committed_lost={totals['committed_lost']} "
+          f"torn_served={totals['torn_served']} "
+          f"failed_runs={totals['failed_runs']}")
+    return [message for failed, message in (
+        (payload["ok"] is not True, "ok is not true"),
+        (totals["cut_points"] < 50, "fewer than 50 cut points"),
+        (totals["drain_cuts"] < 1, "no cut point inside the drain"),
+        (totals["committed_lost"] != 0, "committed data lost"),
+        (totals["torn_served"] != 0, "torn page served"),
+    ) if failed]
+
+
+def soak_failures(payload: dict) -> list[str]:
+    loss = payload["totals"]["data_loss"]
+    print(f"data_loss={loss}")
+    return [f"{loss} pages lost"] if loss else []
+
+
+ASSERTIONS = {"crash": crash_failures, "soak": soak_failures}
+
+
+def load(kind: str, directory: str) -> tuple[str, dict, list[str]]:
+    """The report in ``directory`` and its shape problems."""
+    prefix, module = REPORTS[kind]
+    [path] = glob.glob(f"{directory}/{prefix}_*.json")
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    shape = importlib.import_module(module).SHAPE
+    return path, payload, [f"schema problem: {problem}"
+                           for problem in check(shape, payload)]
+
+
+def body(payload: dict) -> str:
+    """The report text with the wall-clock timestamp nulled."""
+    return json.dumps(dict(payload, generated_at=None), indent=2,
+                      sort_keys=True)
+
+
+def main(argv: list[str]) -> int:
+    kind, directory, *rerun = argv
+    path, payload, failures = load(kind, directory)
+    print(f"{path}: {len(failures)} schema problems")
+    if not failures and kind in ASSERTIONS:
+        failures += ASSERTIONS[kind](payload)
+    if rerun:
+        rerun_path, rerun_payload, problems = load(kind, rerun[0])
+        failures += [f"{rerun_path}: {problem}" for problem in problems]
+        first, second = body(payload), body(rerun_payload)
+        match = first == second
+        print(f"reports {len(first)} bytes, "
+              f"{'identical' if match else 'DIFFER'} "
+              "after normalizing generated_at")
+        if not match:
+            failures.append(f"{rerun_path} differs from {path}")
+    for failure in failures:
+        print(f"FAILED: {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -50,6 +50,7 @@ from repro.nand.endurance import (EnduranceSnapshot, paper_device_lifetime,
                                   project_lifetime_years)
 from repro.nand.ftl import VICTIM_STRATEGIES, FlashTranslationLayer
 from repro.nand.spec import ZNAND_64GB
+from repro.report import Gate, Gated
 from repro.sim.snapshot import SimSnapshot
 from repro.sim.trace import Tracer, use_tracer
 from repro.units import PAGE_4K, gb, kb, mb, us
@@ -260,7 +261,7 @@ class ShardOutcome:
 
 
 @dataclass
-class AgingResult:
+class AgingResult(Gated):
     """Everything one campaign observed, plus the acceptance gates."""
 
     config: AgingConfig
@@ -339,9 +340,22 @@ class AgingResult:
                    for strategy in others)
 
     @property
-    def ok(self) -> bool:
-        return (self.zero_loss and self.sanitizers_quiet
-                and self.graceful_order and self.leveling_beats_greedy)
+    def gates(self) -> list[Gate]:
+        lost = sum(s.data_loss for s in self.shards)
+        bad = [f"{s.strategy}/{s.shard}" for s in self.shards
+               if not s.graceful]
+        return [
+            Gate("zero_loss", self.zero_loss,
+                 f"aging FAILED: {lost} pages lost"),
+            Gate("sanitizers_quiet", self.sanitizers_quiet,
+                 f"aging FAILED: {self.violations} sanitizer violations"),
+            Gate("graceful_order", self.graceful_order,
+                 f"aging FAILED: shards {bad} fail-stopped before "
+                 "read_only (degradation out of order)"),
+            Gate("leveling_beats_greedy", self.leveling_beats_greedy,
+                 "aging FAILED: wear leveling did not beat the greedy "
+                 "baseline's wear spread"),
+        ]
 
     # -- serialisation -------------------------------------------------------------
 
@@ -422,12 +436,7 @@ class AgingResult:
             "ladder_histogram": self.ladder_histogram(),
             "analytic": self.analytic(),
             "totals": self.totals(),
-            "gates": {
-                "zero_loss": self.zero_loss,
-                "sanitizers_quiet": self.sanitizers_quiet,
-                "graceful_order": self.graceful_order,
-                "leveling_beats_greedy": self.leveling_beats_greedy,
-            },
+            "gates": {gate.name: gate.ok for gate in self.gates},
             "ok": self.ok,
         }
 
@@ -607,35 +616,6 @@ def _census(outcome: ShardOutcome, system: NVDIMMCSystem,
     outcome.epoch_log.append(log)
 
 
-def _capture_state(state: dict) -> SimSnapshot:
-    """Capture a shard's full root set, log-swap trick included.
-
-    Mirrors ``soak._capture_prefix``: the tracer records and NVMC logs
-    are swapped out so the capture holds the simulation state, not the
-    observation history, then swapped back onto whichever graph keeps
-    running.
-    """
-    tracer = state["tracer"]
-    nvmc = state["system"].nvmc
-    saved = (tracer.records, nvmc.operations, nvmc.fsm.history)
-    tracer.records = []
-    nvmc.operations = []
-    nvmc.fsm.history = []
-    try:
-        return SimSnapshot.capture(state, label="aging-epoch")
-    finally:
-        tracer.records, nvmc.operations, nvmc.fsm.history = saved
-
-
-def _adopt(snap: SimSnapshot, logs: tuple) -> dict:
-    """Restore a capture and transplant the live logs onto the clone."""
-    state = snap.restore()
-    tracer = state["tracer"]
-    nvmc = state["system"].nvmc
-    tracer.records, nvmc.operations, nvmc.fsm.history = logs
-    return state
-
-
 def _age_shard(config: AgingConfig, outcome: ShardOutcome,
                state: dict) -> dict:
     """Run one shard's epochs to read-only or the epoch budget.
@@ -666,11 +646,7 @@ def _age_shard(config: AgingConfig, outcome: ShardOutcome,
             t = leg.verify(t, log)
         state["t"] = t
         if config.snapshot:
-            tracer = state["tracer"]
-            nvmc = system.nvmc
-            snap = _capture_state(state)
-            state = _adopt(snap, (tracer.records, nvmc.operations,
-                                  nvmc.fsm.history))
+            state = SimSnapshot.capture(state, label="aging-epoch").restore()
             system = state["system"]
         with use_tracer(state["tracer"]):
             log.retired_free_blocks = _fast_forward(
@@ -735,9 +711,10 @@ def run_aging(config: AgingConfig,
                 with suite.attach(tracer):
                     system, leg, t = _strategy_prefix(
                         config, strategy, tracer)
-                    snap = _capture_state(
+                    snap = SimSnapshot.capture(
                         {"system": system, "leg": leg, "tracer": tracer,
-                         "suite": suite, "rng": None, "t": t})
+                         "suite": suite, "rng": None, "t": t},
+                        label="aging-epoch")
             result.violations += len(suite.violations)
             for shard in range(config.shard_count):
                 outcome = _shard_outcome(config, strategy, shard)

@@ -12,89 +12,54 @@ that does not beat the greedy baseline's wear spread.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.aging.campaign import AgingConfig, run_aging
-    from repro.aging.report import render_report, validate_report
-    from repro.errors import ConfigError
+    from repro.aging.report import SHAPE
+    from repro.report import write_and_gate
 
-    try:
-        config = AgingConfig(
-            quick=args.quick, seed=args.seed, shards=args.shards,
-            max_epochs=args.epochs, snapshot=not args.no_snapshot)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    mode = "quick" if config.quick else "full"
-    print(f"repro age: {mode} campaign, {config.shard_count} shards x "
-          f"{len(config.strategies)} strategies, "
-          f"<= {config.epoch_budget} epochs, seed {config.seed}")
     def progress(outcome) -> None:
         print(f"  aged {outcome.strategy}/{outcome.shard}: "
               f"{outcome.epochs_run} epochs, end {outcome.end_state}, "
               f"spread {outcome.wear_spread_x1000}")
 
-    result = run_aging(config, progress=progress)
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not an aging failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"AGING_{timestamp}.json"
-    path.write_text(payload)
-    print(f"wrote {path}")
-    for name in config.strategies:
-        ttro = result.time_to_read_only(name)
-        print(f"  {name:<12} spread={result.mean_wear_spread_x1000(name)} "
-              f"waf={result.mean_waf_x1000(name)} "
-              f"read_only={ttro['reached']}/{ttro['reached'] + ttro['censored']} "
-              f"p50={ttro['p50_epochs']}ep "
-              f"survival={result.survival_curve(name)}")
-    histogram = result.ladder_histogram()
-    print("  ladder: " + " ".join(
-        f"{key}={count}" for key, count in sorted(histogram.items())))
-    if not result.ok:
-        if not result.zero_loss:
-            lost = sum(s.data_loss for s in result.shards)
-            print(f"aging FAILED: {lost} pages lost", file=sys.stderr)
-        if not result.sanitizers_quiet:
-            print(f"aging FAILED: {result.violations} sanitizer "
-                  "violations", file=sys.stderr)
-        if not result.graceful_order:
-            bad = [f"{s.strategy}/{s.shard}" for s in result.shards
-                   if not s.graceful]
-            print(f"aging FAILED: shards {bad} fail-stopped before "
-                  "read_only (degradation out of order)", file=sys.stderr)
-        if not result.leveling_beats_greedy:
-            print("aging FAILED: wear leveling did not beat the greedy "
-                  "baseline's wear spread", file=sys.stderr)
-        return 1
-    print("aging clean: zero data loss, sanitizers quiet, graceful "
-          "degradation order, wear leveling beats greedy")
-    return 0
+    def run():
+        config = AgingConfig(
+            quick=args.quick, seed=args.seed, shards=args.shards,
+            max_epochs=args.epochs, snapshot=not args.no_snapshot)
+        mode = "quick" if config.quick else "full"
+        print(f"repro age: {mode} campaign, {config.shard_count} shards x "
+              f"{len(config.strategies)} strategies, "
+              f"<= {config.epoch_budget} epochs, seed {config.seed}")
+        return run_aging(config, progress=progress)
+
+    def summary(result) -> str:
+        for name in result.config.strategies:
+            ttro = result.time_to_read_only(name)
+            print(f"  {name:<12} "
+                  f"spread={result.mean_wear_spread_x1000(name)} "
+                  f"waf={result.mean_waf_x1000(name)} "
+                  f"read_only={ttro['reached']}/"
+                  f"{ttro['reached'] + ttro['censored']} "
+                  f"p50={ttro['p50_epochs']}ep "
+                  f"survival={result.survival_curve(name)}")
+        histogram = result.ladder_histogram()
+        print("  ladder: " + " ".join(
+            f"{key}={count}" for key, count in sorted(histogram.items())))
+        return ("aging clean: zero data loss, sanitizers quiet, graceful "
+                "degradation order, wear leveling beats greedy")
+
+    return write_and_gate("AGING", SHAPE, args.out, run, summary)
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``age`` parser, standalone or under a parent CLI."""
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro age")
-        sub = parser.add_subparsers(dest="age_command", required=True)
-    else:
-        parser = sub_or_none.add_parser(
-            "age", help="age a module population to end-of-life")
-        sub = parser.add_subparsers(dest="age_command", required=True)
+def build_parser(sub: "argparse._SubParsersAction") -> None:
+    """Add the ``age`` command to the ``repro`` parser."""
+    parser = sub.add_parser(
+        "age", help="age a module population to end-of-life")
+    commands = parser.add_subparsers(dest="age_command", required=True)
 
-    p_run = sub.add_parser(
+    p_run = commands.add_parser(
         "run", help="run the endurance campaign and write a report")
     p_run.add_argument("--quick", action="store_true",
                        help="CI-sized campaign (2 shards, <= 8 epochs)")
@@ -113,14 +78,3 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                             "instead of forking the post-fill snapshot "
                             "(slower; byte-identical report)")
     p_run.set_defaults(fn=cmd_run)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

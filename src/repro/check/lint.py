@@ -19,16 +19,7 @@ Rules (suppress a line with ``# noqa`` or ``# noqa: REPRO00x``):
     *with* a citation arms coverage for the fields that follow; a
     comment block without one disarms it.
 
-``REPRO004`` **DES discipline** — process generators (those that yield
-    engine events such as ``Timeout``/``Event`` or resource requests)
-    must yield *only* such events: a bare ``yield``, a yielded literal
-    or arithmetic expression is a latent scheduling bug.
-
-``REPRO005`` **resource pairing** — a function that calls
-    ``x.acquire()`` must also call ``x.release()`` (or manage ``x`` with
-    a ``with`` block).
-
-Scope: REPRO001/2/4/5 apply to files under the simulation packages
+Scope: REPRO001/2 apply to files under the simulation packages
 (``sim``, ``ddr``, ``nvmc``, ``nand``, ``kernel``); REPRO003 applies to
 any file named ``calibration.py``.
 """
@@ -39,7 +30,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: Package directories whose modules must obey the simulation rules.
 SCOPE_DIRS = frozenset({"sim", "ddr", "nvmc", "nand", "kernel"})
@@ -53,8 +44,6 @@ _WALLCLOCK_TIME_ATTRS = frozenset({
     "time", "time_ns", "monotonic", "monotonic_ns",
     "perf_counter", "perf_counter_ns", "process_time"})
 _WALLCLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-_EVENT_FACTORIES = frozenset({"Timeout", "Event"})
-_EVENT_METHODS = frozenset({"acquire", "release", "get", "put", "wait"})
 
 #: Calls that produce integers from float inputs; REPRO002 does not look
 #: inside their arguments (the conversion function owns the rounding).
@@ -196,75 +185,6 @@ class _SimRulesVisitor(ast.NodeVisitor):
             else:
                 self._check_time_assignment(node, [node.target], node.value)
         self.generic_visit(node)
-
-    # -- REPRO004/5: generators and resources ------------------------------------
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_generator(node)
-        self._check_resource_pairing(node)
-        self.generic_visit(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    @staticmethod
-    def _own_yields(func: ast.FunctionDef) -> Iterator[ast.Yield]:
-        """Yields belonging to ``func`` itself, not nested functions."""
-        stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue
-            if isinstance(node, ast.Yield):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _is_event_expr(value: ast.expr) -> bool:
-        if isinstance(value, ast.Call):
-            func = value.func
-            if isinstance(func, ast.Name) and func.id in _EVENT_FACTORIES:
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in _EVENT_METHODS:
-                return True
-        return False
-
-    def _check_generator(self, func: ast.FunctionDef) -> None:
-        yields = list(self._own_yields(func))
-        if not any(y.value is not None and self._is_event_expr(y.value)
-                   for y in yields):
-            return   # not a DES process generator
-        for y in yields:
-            if y.value is None:
-                self._flag(y, "REPRO004",
-                           "bare yield in process generator "
-                           f"'{func.name}'; yield an engine event")
-            elif isinstance(y.value, (ast.Constant, ast.BinOp)):
-                self._flag(y, "REPRO004",
-                           f"process generator '{func.name}' yields a "
-                           "non-event expression; wrap delays in "
-                           "Timeout(...)")
-
-    def _check_resource_pairing(self, func: ast.FunctionDef) -> None:
-        acquired: dict[str, ast.Call] = {}
-        released: set[str] = set()
-        managed: set[str] = set()
-        for node in ast.walk(func):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
-                receiver = ast.unparse(node.func.value)
-                if node.func.attr == "acquire":
-                    acquired.setdefault(receiver, node)
-                elif node.func.attr == "release":
-                    released.add(receiver)
-            elif isinstance(node, ast.With):
-                for item in node.items:
-                    managed.add(ast.unparse(item.context_expr))
-        for receiver, call in acquired.items():
-            if receiver not in released and receiver not in managed:
-                self._flag(call, "REPRO005",
-                           f"'{receiver}.acquire()' in '{func.name}' has no "
-                           "matching release() (and no with-block)")
 
 
 def _lint_calibration(path: Path, source_lines: list[str]

@@ -99,8 +99,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.check.lint import _suppressed
-from repro.report import (require_nonneg_ints, require_object_list,
-                          schema_id, validate_schema_report)
+from repro.report import (BOOL, COUNT, STR, ListOf, MapOf, Optional,
+                          one_of, schema_id)
 
 #: Baseline / JSON-output schema ids (pinned like the campaign reports).
 REPORT_SCHEMA = schema_id("check.static", 1)
@@ -269,41 +269,22 @@ class StaticReport:
         }
 
 
-_REPORT_KEYS = frozenset({"schema", "findings", "registry"})
-_FINDING_KEYS = frozenset(
-    {"path", "line", "col", "code", "message", "fingerprint"})
-_REGISTRY_KEYS = frozenset(
-    {"trace_producers", "trace_producer_prefixes", "trace_consumers",
-     "trace_consumer_prefixes", "hook_producers",
-     "hook_producer_prefixes", "hook_consumers", "schemas"})
-
-
-def _report_detail(payload: dict, problems: list[str]) -> None:
-    for index, finding in enumerate(require_object_list(problems, payload,
-                                                        "findings")):
-        if not isinstance(finding, dict) or \
-                finding.keys() - {"baselined"} != _FINDING_KEYS:
-            problems.append(
-                f"findings[{index}] keys must be {sorted(_FINDING_KEYS)}")
-            continue
-        require_nonneg_ints(problems, finding, ("line", "col"),
-                            f"findings[{index}].")
-    registry = payload.get("registry")
-    if not isinstance(registry, dict) or \
-            registry.keys() != _REGISTRY_KEYS:
-        problems.append(f"registry keys must be {sorted(_REGISTRY_KEYS)}")
-
-
-def validate_report(payload: object) -> list[str]:
-    """Problems with a parsed ``--format json`` report (empty = valid).
-
-    The CLI augments the raw :meth:`StaticReport.to_dict` payload with a
-    ``summary`` block and per-finding ``baselined`` flags; both forms
-    validate.
-    """
-    return validate_schema_report("check.static", 1, payload,
-                                  _REPORT_KEYS, optional={"summary"},
-                                  detail=_report_detail)
+#: The ``--format json`` payload: :meth:`StaticReport.to_dict`, which
+#: the CLI augments with a ``summary`` block and per-finding
+#: ``baselined`` flags (both optional, so either form validates).
+SHAPE = {
+    "schema": one_of(REPORT_SCHEMA),
+    "findings": ListOf({
+        "path": STR, "line": COUNT, "col": COUNT, "code": STR,
+        "message": STR, "fingerprint": STR, "baselined": Optional(BOOL)}),
+    "registry": dict.fromkeys(
+        ("trace_producers", "trace_producer_prefixes", "trace_consumers",
+         "trace_consumer_prefixes", "hook_producers",
+         "hook_producer_prefixes", "hook_consumers", "schemas"),
+        MapOf(ListOf(STR))),
+    "summary": Optional(dict.fromkeys(("total", "baselined", "new"),
+                                      COUNT)),
+}
 
 
 # -- small AST helpers ------------------------------------------------------------

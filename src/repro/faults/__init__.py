@@ -31,7 +31,7 @@ from repro.faults.clock import FaultClock
 from repro.faults.injectors import INJECTORS, Injector, injector_names
 from repro.faults.campaign import (CampaignResult, CellResult, run_campaign,
                                    campaign_matrix)
-from repro.faults.report import SCHEMA, render_report, validate_report
+from repro.faults.report import SCHEMA, SHAPE
 
 __all__ = [
     "FaultClock",
@@ -43,6 +43,5 @@ __all__ = [
     "run_campaign",
     "campaign_matrix",
     "SCHEMA",
-    "render_report",
-    "validate_report",
+    "SHAPE",
 ]

@@ -30,12 +30,13 @@ from typing import Callable
 from repro.check.sanitizer import default_suite
 from repro.device.nvdimmc import NVDIMMCSystem
 from repro.device.power import PowerFailureModel
-from repro.errors import MediaError, PowerLossInterrupt
+from repro.errors import ConfigError, MediaError, PowerLossInterrupt
 from repro.faults.clock import FaultClock
 from repro.faults.injectors import INJECTORS, ArmContext, Injector, \
     injector_names
 from repro.nvmc.nvmc import CPFaultPort
 from repro.faults.report import SCHEMA
+from repro.report import Gate, Gated
 from repro.sim.trace import Tracer, use_tracer
 from repro.units import PAGE_4K, kb, mb, us
 
@@ -79,7 +80,7 @@ class CellResult:
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(Gated):
     """All cells of one campaign run."""
 
     seed: int
@@ -87,8 +88,9 @@ class CampaignResult:
     cells: list[CellResult] = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return all(cell.ok for cell in self.cells)
+    def gates(self) -> list[Gate]:
+        return [Gate("cells_ok", all(cell.ok for cell in self.cells),
+                     "campaign FAILED: see cells above")]
 
     def totals(self) -> dict[str, int]:
         return {
@@ -112,8 +114,15 @@ class CampaignResult:
         }
 
 
-def campaign_matrix(quick: bool = False) -> list[tuple[str, str]]:
-    """The (fault, workload) cells a campaign executes, in order."""
+def campaign_matrix(quick: bool = False,
+                    only: list[str] | None = None) -> list[tuple[str, str]]:
+    """The (fault, workload) cells a campaign executes, in order.
+
+    ``only`` restricts the matrix to the named faults.  An unknown id,
+    or a restriction that selects no cell of the chosen matrix (a
+    campaign of zero cells would pass vacuously), raises
+    :class:`~repro.errors.ConfigError`.
+    """
     if quick:
         faults = ["cp-corrupt", "dma-partial", "nand-program-fail"]
     else:
@@ -123,7 +132,20 @@ def campaign_matrix(quick: bool = False) -> list[tuple[str, str]]:
              for workload in ("seq-write", "rand-rw")]
     if not quick:
         cells.append(("ca-noise", "stream-agent"))
-    return cells
+    if only is None:
+        return cells
+    unknown = sorted(set(only) - set(INJECTORS))
+    if unknown:
+        raise ConfigError(
+            f"unknown fault ids: {', '.join(unknown)}\n"
+            f"known fault ids: {', '.join(injector_names())}")
+    selected = [cell for cell in cells if cell[0] in only]
+    if not selected:
+        raise ConfigError(
+            f"fault ids {sorted(only)} select no cell of the "
+            f"{'quick' if quick else 'full'} matrix (its faults: "
+            f"{', '.join(sorted({fault for fault, _ in cells}))})")
+    return selected
 
 
 def cell_seed_for(seed: int, fault: str, workload: str) -> int:
@@ -137,17 +159,13 @@ def run_campaign(seed: int = 0, quick: bool = False,
                  only: list[str] | None = None) -> CampaignResult:
     """Execute the matrix; each cell under its own sanitized tracer.
 
-    ``only`` restricts the matrix to the named faults (cell seeds are
-    unchanged: they depend on the cell, not the matrix shape).
+    ``only`` restricts the matrix to the named faults (see
+    :func:`campaign_matrix`; cell seeds are unchanged: they depend on
+    the cell, not the matrix shape).
     """
-    if only is not None:
-        unknown = sorted(set(only) - set(INJECTORS))
-        if unknown:
-            raise ValueError(f"unknown injectors: {unknown}")
+    cells = campaign_matrix(quick, only)
     result = CampaignResult(seed=seed, quick=quick)
-    for fault_name, workload_name in campaign_matrix(quick):
-        if only is not None and fault_name not in only:
-            continue
+    for fault_name, workload_name in cells:
         injector = INJECTORS[fault_name]
         cseed = cell_seed_for(seed, fault_name, workload_name)
         tracer = Tracer(enabled=True, capacity=capacity)

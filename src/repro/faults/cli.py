@@ -5,25 +5,23 @@ Subcommands:
 * ``run [--quick] [--seed N] [--out DIR] [--only ID[,ID...]]`` —
   execute the campaign matrix and write a schema-pinned
   ``FAULTS_<timestamp>.json`` report.  ``--only`` restricts the matrix
-  to the named faults (an unknown id aborts with the known-id list).
-  Exits non-zero when any cell fails (a recoverable cell lost data, or
-  any cell tripped a sanitizer).
+  to the named faults (an unknown id, or ids that select no cell of
+  the chosen matrix, abort with exit 2).  Exits non-zero when any cell
+  fails (a recoverable cell lost data, or any cell tripped a
+  sanitizer).
 * ``list`` — print the injector registry.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.faults.campaign import CellResult, run_campaign
-    from repro.faults.injectors import injector_names
-    from repro.faults.report import render_report, validate_report
+    from repro.faults.campaign import (CellResult, campaign_matrix,
+                                       run_campaign)
+    from repro.faults.report import SHAPE
+    from repro.report import write_and_gate
 
     def progress(cell: CellResult) -> None:
         flag = "ok" if cell.ok else "FAIL"
@@ -32,45 +30,30 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"recovered={cell.recovered} lost={cell.lost} "
               f"violations={cell.violations}")
 
-    only = None
-    if args.only:
-        only = [name.strip() for name in args.only.split(",") if name.strip()]
-        unknown = sorted(set(only) - set(injector_names()))
-        if unknown:
-            print(f"unknown fault ids: {', '.join(unknown)}",
-                  file=sys.stderr)
-            print(f"known fault ids: {', '.join(injector_names())}",
-                  file=sys.stderr)
-            return 2
-    mode = "quick" if args.quick else "full"
-    print(f"repro faults run: {mode} matrix, seed {args.seed}"
-          + (f", only {','.join(only)}" if only else ""))
-    result = run_campaign(seed=args.seed, quick=args.quick,
-                          capacity=args.capacity, progress=progress,
-                          only=only)
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a cell failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"FAULTS_{timestamp}.json"
-    path.write_text(payload)
-    totals = result.totals()
-    print(f"wrote {path}")
-    print(f"cells={totals['cells']} injected={totals['injected']} "
-          f"detected={totals['detected']} recovered={totals['recovered']} "
-          f"lost={totals['lost']} violations={totals['violations']} "
-          f"failed={totals['failed_cells']}")
-    if not result.ok:
-        print("campaign FAILED: see cells above", file=sys.stderr)
-        return 1
-    print("campaign clean: every recoverable cell recovered, "
-          "all sanitizers quiet")
-    return 0
+    def run():
+        only = None
+        if args.only:
+            only = [name.strip() for name in args.only.split(",")
+                    if name.strip()]
+        campaign_matrix(args.quick, only)   # usage errors before the banner
+        mode = "quick" if args.quick else "full"
+        print(f"repro faults run: {mode} matrix, seed {args.seed}"
+              + (f", only {','.join(only)}" if only else ""))
+        return run_campaign(seed=args.seed, quick=args.quick,
+                            capacity=args.capacity, progress=progress,
+                            only=only)
+
+    def summary(result) -> str:
+        totals = result.totals()
+        print(f"cells={totals['cells']} injected={totals['injected']} "
+              f"detected={totals['detected']} "
+              f"recovered={totals['recovered']} "
+              f"lost={totals['lost']} violations={totals['violations']} "
+              f"failed={totals['failed_cells']}")
+        return ("campaign clean: every recoverable cell recovered, "
+                "all sanitizers quiet")
+
+    return write_and_gate("FAULTS", SHAPE, args.out, run, summary)
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -83,18 +66,12 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``faults`` parser, standalone or under a parent CLI."""
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro faults")
-        sub = parser.add_subparsers(dest="faults_command", required=True)
-    else:
-        parser = sub_or_none.add_parser(
-            "faults", help="fault-injection campaigns")
-        sub = parser.add_subparsers(dest="faults_command", required=True)
+def build_parser(sub: "argparse._SubParsersAction") -> None:
+    """Add the ``faults`` command to the ``repro`` parser."""
+    parser = sub.add_parser("faults", help="fault-injection campaigns")
+    commands = parser.add_subparsers(dest="faults_command", required=True)
 
-    p_run = sub.add_parser("run", help="execute the campaign matrix")
+    p_run = commands.add_parser("run", help="execute the campaign matrix")
     p_run.add_argument("--quick", action="store_true",
                        help="3x2 smoke matrix instead of the full one")
     p_run.add_argument("--seed", type=int, default=0,
@@ -108,16 +85,5 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                             "cell seeds are unchanged)")
     p_run.set_defaults(fn=cmd_run)
 
-    p_list = sub.add_parser("list", help="print the injector registry")
+    p_list = commands.add_parser("list", help="print the injector registry")
     p_list.set_defaults(fn=cmd_list)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,12 +2,9 @@
 
 The report is the artifact CI archives and the determinism acceptance
 check diffs, so its shape is pinned: :data:`SCHEMA` names the current
-revision, :func:`render_report` serialises with sorted keys and a
-trailing newline (byte-identical for identical campaign results — the
-wall-clock timestamp is the *only* non-deterministic field, and it is
-injected by the caller so tests can omit it), and
-:func:`validate_report` checks a parsed report against the pinned
-shape.
+revision and :data:`SHAPE` declares the payload that
+:func:`repro.report.check` validates (the wall-clock ``generated_at``
+is the *only* non-deterministic field).
 
 Count semantics per cell:
 
@@ -28,58 +25,22 @@ Count semantics per cell:
 
 from __future__ import annotations
 
-import json
-from typing import Any
-
-from repro.report import (require_exact_keys, require_nonneg_ints,
-                          require_object_list, schema_id,
-                          validate_schema_report)
+from repro.report import (BOOL, COUNT, INT, STR, TIMESTAMP, ListOf, MapOf,
+                          one_of, schema_id)
 
 SCHEMA = schema_id("faults", 1)
 
-_REPORT_KEYS = frozenset(
-    {"schema", "generated_at", "seed", "quick", "cells", "totals"})
-_CELL_KEYS = frozenset(
-    {"fault", "workload", "cell_seed", "recoverable", "injected",
-     "detected", "recovered", "lost", "violations", "ok", "notes"})
-_TOTAL_KEYS = frozenset(
-    {"cells", "failed_cells", "injected", "detected", "recovered",
-     "lost", "violations"})
-
-
-def render_report(result: Any, timestamp: str | None = None) -> str:
-    """Serialise a :class:`~repro.faults.campaign.CampaignResult`.
-
-    ``timestamp`` is stamped into ``generated_at`` verbatim; pass None
-    (the default) for byte-stable output.
-    """
-    payload = result.to_dict()
-    payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _detail(payload: dict, problems: list[str]) -> None:
-    for index, cell in enumerate(require_object_list(problems, payload,
-                                                     "cells")):
-        if not isinstance(cell, dict):
-            problems.append(f"cells[{index}] must be an object")
-            continue
-        if cell.keys() != _CELL_KEYS:
-            problems.append(
-                f"cells[{index}] keys {sorted(cell.keys())} != "
-                f"{sorted(_CELL_KEYS)}")
-            continue
-        require_nonneg_ints(
-            problems, cell,
-            ("injected", "detected", "recovered", "lost", "violations",
-             "cell_seed"), f"cells[{index}].")
-    if require_exact_keys(problems, payload.get("totals"), _TOTAL_KEYS,
-                          "totals"):
-        require_nonneg_ints(problems, payload["totals"],
-                            sorted(_TOTAL_KEYS), "totals.")
-
-
-def validate_report(payload: Any) -> list[str]:
-    """Problems with a parsed report; an empty list means valid."""
-    return validate_schema_report("faults", 1, payload, _REPORT_KEYS,
-                                  detail=_detail)
+SHAPE = {
+    "schema": one_of(SCHEMA),
+    "generated_at": TIMESTAMP,
+    "seed": INT,
+    "quick": BOOL,
+    "cells": ListOf({
+        "fault": STR, "workload": STR, "cell_seed": COUNT,
+        "recoverable": BOOL, "injected": COUNT, "detected": COUNT,
+        "recovered": COUNT, "lost": COUNT, "violations": COUNT,
+        "ok": BOOL, "notes": MapOf(COUNT)}),
+    "totals": dict.fromkeys(
+        ("cells", "failed_cells", "injected", "detected", "recovered",
+         "lost", "violations"), COUNT),
+}

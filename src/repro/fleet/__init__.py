@@ -44,11 +44,10 @@ only the shards whose plans grew.
 from repro.fleet.chaos import ChaosConfig, run_chaos
 from repro.fleet.frontend import Fleet, FleetConfig, run_fleet
 from repro.fleet.placement import PLACEMENTS, ZipfSampler
-from repro.fleet.report import render_report, validate_report
 from repro.fleet.tenants import TenantSLO, TenantSpec, default_tenants
 
 __all__ = [
     "Fleet", "FleetConfig", "run_fleet", "ChaosConfig", "run_chaos",
     "PLACEMENTS", "ZipfSampler", "TenantSLO", "TenantSpec",
-    "default_tenants", "render_report", "validate_report",
+    "default_tenants",
 ]

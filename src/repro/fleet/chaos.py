@@ -49,6 +49,7 @@ from repro.device.power import PowerFailureModel
 from repro.errors import (ConfigError, FailStopError, MediaError,
                           PowerLossInterrupt)
 from repro.faults.clock import FaultClock
+from repro.fleet.chaos_report import chaos_payload
 from repro.fleet.frontend import Fleet, FleetConfig, collect_fan_out
 from repro.fleet.qos import TenantQoS
 from repro.fleet.shard import (
@@ -63,6 +64,7 @@ from repro.fleet.tenants import TenantSpec, default_tenants
 from repro.health.monitor import HealthPolicy, HealthState
 from repro.health.retry import RetryPolicy
 from repro.recovery import recover_mount
+from repro.report import Gate, Gated
 from repro.sim.snapshot import SimSnapshot
 from repro.sim.trace import use_tracer
 from repro.units import us
@@ -684,7 +686,7 @@ class ChaosTenantView:
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(Gated):
     """The merged outcome of one chaos campaign."""
 
     config: ChaosConfig
@@ -727,14 +729,28 @@ class ChaosResult:
             bool(self.routing.evacuations) and self.evacuation_ok
 
     @property
-    def ok(self) -> bool:
+    def gates(self) -> list[Gate]:
         """The chaos gate: zero committed loss, quiet sanitizers,
         bounded availability dip, and the campaign actually killed and
         evacuated a shard (a chaos run that hurt nobody proved
         nothing)."""
-        return (self.data_loss == 0 and self.violations == 0
-                and self.demonstrated
-                and all(view.ok for view in self.tenants))
+        below = [f"chaos FAILED: tenant {view.spec.name} availability "
+                 f"{view.success_ppm} ppm below the chaos SLO "
+                 f"{view.chaos_slo_ppm} ppm"
+                 for view in self.tenants if not view.ok]
+        return [
+            Gate("zero_data_loss", self.data_loss == 0,
+                 f"chaos FAILED: {self.data_loss} committed pages lost"),
+            Gate("quiet_sanitizers", self.violations == 0,
+                 f"chaos FAILED: {self.violations} sanitizer violations"),
+            Gate("shard_killed_and_evacuated", self.demonstrated,
+                 "chaos FAILED: no shard was driven out of the write path "
+                 "and fully evacuated (the campaign proved nothing)"),
+            Gate("tenants_within_slo", not below, "\n".join(below)),
+        ]
+
+    def to_dict(self) -> dict:
+        return chaos_payload(self)
 
 
 def _execute(plans: list[ChaosShardPlan], snapshot: SimSnapshot,

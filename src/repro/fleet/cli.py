@@ -16,19 +16,15 @@ roster.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
     from repro.fleet.frontend import Fleet, FleetConfig
-    from repro.fleet.report import render_report, validate_report
+    from repro.fleet.report import SHAPE
+    from repro.report import write_and_gate
     from repro.util import resolve_jobs
 
-    try:
+    def run():
         config = FleetConfig(
             shards=args.shards, placement=args.placement,
             quick=args.quick, requests=args.requests, seed=args.seed,
@@ -36,136 +32,79 @@ def cmd_run(args: argparse.Namespace) -> int:
             jobs=resolve_jobs(args.jobs),
             weights=tuple(args.weights or ()),
             worker_timeout_s=args.worker_timeout)
-    except (ConfigError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    mode = "quick" if config.quick else "full"
-    print(f"repro fleet: {mode} run, {config.shards} shards, "
-          f"{config.request_count} requests, "
-          f"placement {config.placement}, seed {config.seed}, "
-          f"jobs {config.jobs}")
-    result = Fleet(config).run()
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a fleet failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"FLEET_{timestamp}.json"
-    path.write_text(payload)
-    print(f"wrote {path}")
-    for qos in result.tenants:
-        latency = qos.latency_summary()
-        gates = qos.slo_evaluation()
-        verdict = "pass" if gates["ok"] else "FAIL"
-        print(f"  {qos.spec.name:<10} offered={qos.offered} "
-              f"admit={qos.admit_ppm / 10_000:.2f}% "
-              f"p50={latency['p50_ps'] / 1e6:.2f}us "
-              f"p99={latency['p99_ps'] / 1e6:.2f}us "
-              f"p999={latency['p999_ps'] / 1e6:.2f}us  slo={verdict}")
-    histogram = result.health_histogram
-    print("  health: " + " ".join(
-        f"{state}={count}" for state, count in sorted(histogram.items())))
-    if not result.ok:
-        if result.data_loss:
-            print(f"fleet FAILED: {result.data_loss} pages lost",
-                  file=sys.stderr)
-        if result.violations:
-            print(f"fleet FAILED: {result.violations} sanitizer "
-                  "violations", file=sys.stderr)
+        mode = "quick" if config.quick else "full"
+        print(f"repro fleet: {mode} run, {config.shards} shards, "
+              f"{config.request_count} requests, "
+              f"placement {config.placement}, seed {config.seed}, "
+              f"jobs {config.jobs}")
+        return Fleet(config).run()
+
+    def summary(result) -> str:
         for qos in result.tenants:
-            gates = qos.slo_evaluation()
-            if not gates["ok"]:
-                missed = [g for g in ("p50", "p99", "p999", "admit")
-                          if not gates[g]]
-                print(f"fleet FAILED: tenant {qos.spec.name} missed "
-                      f"SLO gates {missed}", file=sys.stderr)
-        return 1
-    print("fleet clean: zero data loss, sanitizers quiet, "
-          "all tenant SLOs met")
-    return 0
+            latency = qos.latency_summary()
+            verdict = "pass" if qos.slo_evaluation()["ok"] else "FAIL"
+            print(f"  {qos.spec.name:<10} offered={qos.offered} "
+                  f"admit={qos.admit_ppm / 10_000:.2f}% "
+                  f"p50={latency['p50_ps'] / 1e6:.2f}us "
+                  f"p99={latency['p99_ps'] / 1e6:.2f}us "
+                  f"p999={latency['p999_ps'] / 1e6:.2f}us  "
+                  f"slo={verdict}")
+        histogram = result.health_histogram
+        print("  health: " + " ".join(
+            f"{state}={count}" for state, count in sorted(histogram.items())))
+        return ("fleet clean: zero data loss, sanitizers quiet, "
+                "all tenant SLOs met")
+
+    return write_and_gate("FLEET", SHAPE, args.out, run, summary)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
     from repro.fleet.chaos import ChaosConfig, run_chaos
-    from repro.fleet.chaos_report import render_report, validate_report
+    from repro.fleet.chaos_report import SHAPE
+    from repro.report import write_and_gate
     from repro.util import resolve_jobs
 
-    try:
+    def run():
         config = ChaosConfig(
             shards=args.shards, quick=args.quick,
             requests=args.requests, seed=args.seed,
             queue_bound=args.queue_bound, jobs=resolve_jobs(args.jobs),
             worker_timeout_s=args.worker_timeout)
-    except (ConfigError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    mode = "quick" if config.quick else "full"
-    print(f"repro fleet chaos: {mode} campaign, {config.shards} shards, "
-          f"{config.request_count} requests, seed {config.seed}, "
-          f"jobs {config.jobs}")
-    result = run_chaos(config)
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a chaos failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"CHAOS_{timestamp}.json"
-    path.write_text(payload)
-    print(f"wrote {path}")
-    roles = result.roles
-    print(f"  plan: kill shard {roles.kill_shard}, hedge target "
-          f"{roles.hedge_target}, {result.hedged_writes} hedged writes")
-    for outcome in result.outcomes:
-        r = outcome.result
-        extras = []
-        if outcome.power_cuts:
-            extras.append(f"cuts={outcome.power_cuts}")
-        if outcome.evac_in_pages:
-            extras.append(f"evac_in={outcome.evac_in_pages}")
-        if outcome.failover_served:
-            extras.append(f"failover={outcome.failover_served}")
-        print(f"  shard {r.shard}: {r.health['state']:<9} "
-              f"completed={r.completed} refused={r.refused} "
-              f"retries={outcome.retries}"
-              + ("".join(" " + part for part in extras)))
-    for view in result.tenants:
-        verdict = "pass" if view.ok else "FAIL"
-        print(f"  {view.spec.name:<10} offered={view.primary.offered} "
-              f"success={view.success_ppm / 10_000:.2f}% "
-              f"(chaos slo {view.chaos_slo_ppm / 10_000:.2f}%) "
-              f"rescued={view.rescued}  {verdict}")
-    if not result.ok:
-        if result.data_loss:
-            print(f"chaos FAILED: {result.data_loss} committed pages "
-                  "lost", file=sys.stderr)
-        if result.violations:
-            print(f"chaos FAILED: {result.violations} sanitizer "
-                  "violations", file=sys.stderr)
-        if not result.demonstrated:
-            print("chaos FAILED: no shard was driven out of the write "
-                  "path and fully evacuated (the campaign proved "
-                  "nothing)", file=sys.stderr)
+        mode = "quick" if config.quick else "full"
+        print(f"repro fleet chaos: {mode} campaign, {config.shards} "
+              f"shards, {config.request_count} requests, "
+              f"seed {config.seed}, jobs {config.jobs}")
+        return run_chaos(config)
+
+    def summary(result) -> str:
+        roles = result.roles
+        print(f"  plan: kill shard {roles.kill_shard}, hedge target "
+              f"{roles.hedge_target}, {result.hedged_writes} hedged writes")
+        for outcome in result.outcomes:
+            r = outcome.result
+            extras = []
+            if outcome.power_cuts:
+                extras.append(f"cuts={outcome.power_cuts}")
+            if outcome.evac_in_pages:
+                extras.append(f"evac_in={outcome.evac_in_pages}")
+            if outcome.failover_served:
+                extras.append(f"failover={outcome.failover_served}")
+            print(f"  shard {r.shard}: {r.health['state']:<9} "
+                  f"completed={r.completed} refused={r.refused} "
+                  f"retries={outcome.retries}"
+                  + ("".join(" " + part for part in extras)))
         for view in result.tenants:
-            if not view.ok:
-                print(f"chaos FAILED: tenant {view.spec.name} "
-                      f"availability {view.success_ppm} ppm below the "
-                      f"chaos SLO {view.chaos_slo_ppm} ppm",
-                      file=sys.stderr)
-        return 1
-    evacuated = sum(out.evac_in_pages for out in result.outcomes)
-    print(f"chaos clean: shard killed and evacuated ({evacuated} "
-          "pages), zero committed-data loss, availability within the "
-          "chaos SLO, sanitizers quiet")
-    return 0
+            verdict = "pass" if view.ok else "FAIL"
+            print(f"  {view.spec.name:<10} offered={view.primary.offered} "
+                  f"success={view.success_ppm / 10_000:.2f}% "
+                  f"(chaos slo {view.chaos_slo_ppm / 10_000:.2f}%) "
+                  f"rescued={view.rescued}  {verdict}")
+        evacuated = sum(out.evac_in_pages for out in result.outcomes)
+        return (f"chaos clean: shard killed and evacuated ({evacuated} "
+                "pages), zero committed-data loss, availability within "
+                "the chaos SLO, sanitizers quiet")
+
+    return write_and_gate("CHAOS", SHAPE, args.out, run, summary)
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -187,18 +126,13 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``fleet`` parser, standalone or under a parent CLI."""
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro fleet")
-        sub = parser.add_subparsers(dest="fleet_command", required=True)
-    else:
-        parser = sub_or_none.add_parser(
-            "fleet", help="serve tenant workloads over N module shards")
-        sub = parser.add_subparsers(dest="fleet_command", required=True)
+def build_parser(sub: "argparse._SubParsersAction") -> None:
+    """Add the ``fleet`` command to the ``repro`` parser."""
+    parser = sub.add_parser(
+        "fleet", help="serve tenant workloads over N module shards")
+    commands = parser.add_subparsers(dest="fleet_command", required=True)
 
-    p_run = sub.add_parser("run", help="run the fleet and write a report")
+    p_run = commands.add_parser("run", help="run the fleet and write a report")
     p_run.add_argument("--quick", action="store_true",
                        help="CI-sized run (100k requests, small shards)")
     p_run.add_argument("--shards", type=int, default=4,
@@ -233,7 +167,7 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                        help="directory for FLEET_<timestamp>.json")
     p_run.set_defaults(fn=cmd_run)
 
-    p_chaos = sub.add_parser(
+    p_chaos = commands.add_parser(
         "chaos",
         help="run the fleet under a seeded fault plan and write a "
              "CHAOS report")
@@ -260,17 +194,6 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                          help="directory for CHAOS_<timestamp>.json")
     p_chaos.set_defaults(fn=cmd_chaos)
 
-    p_list = sub.add_parser(
+    p_list = commands.add_parser(
         "list", help="print placement policies and the tenant roster")
     p_list.set_defaults(fn=cmd_list)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from repro.errors import ConfigError, FleetError
 from repro.fleet.placement import PLACEMENTS, ZipfSampler
 from repro.fleet.qos import TenantQoS
+from repro.fleet.report import fleet_payload
 from repro.fleet.shard import (
     Request,
     ShardPlan,
@@ -32,6 +33,7 @@ from repro.fleet.shard import (
     shard_seed,
 )
 from repro.fleet.tenants import TenantSpec, default_tenants
+from repro.report import Gate, Gated
 from repro.units import PAGE_4K
 from repro.workloads.fio import FIOJob, _Thread
 from repro.workloads.tpch import TPCH_QUERIES, generate_query_trace
@@ -78,6 +80,10 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
+        if self.requests is not None and self.requests < 1:
+            raise ConfigError(
+                f"requests must be >= 1 (a fleet that serves nothing "
+                f"passes vacuously), got {self.requests}")
         if self.placement not in PLACEMENTS:
             raise ConfigError(
                 f"unknown placement {self.placement!r}; "
@@ -184,7 +190,7 @@ class _TenantStream:
 
 
 @dataclass
-class FleetResult:
+class FleetResult(Gated):
     """The merged outcome of one fleet run."""
 
     config: FleetConfig
@@ -218,10 +224,27 @@ class FleetResult:
         return sum(shard.violations for shard in self.shards)
 
     @property
-    def ok(self) -> bool:
+    def gates(self) -> list[Gate]:
         """The fleet-level gate: no loss, clean sanitizers, SLOs met."""
-        return (self.data_loss == 0 and self.violations == 0
-                and all(qos.slo_evaluation()["ok"] for qos in self.tenants))
+        missed = []
+        for qos in self.tenants:
+            slo = qos.slo_evaluation()
+            if not slo["ok"]:
+                clauses = [clause for clause in ("p50", "p99", "p999",
+                                                 "admit")
+                           if not slo[clause]]
+                missed.append(f"fleet FAILED: tenant {qos.spec.name} "
+                              f"missed SLO gates {clauses}")
+        return [
+            Gate("zero_loss", self.data_loss == 0,
+                 f"fleet FAILED: {self.data_loss} pages lost"),
+            Gate("sanitizers_quiet", self.violations == 0,
+                 f"fleet FAILED: {self.violations} sanitizer violations"),
+            Gate("tenant_slos", not missed, "\n".join(missed)),
+        ]
+
+    def to_dict(self) -> dict:
+        return fleet_payload(self)
 
 
 class Fleet:

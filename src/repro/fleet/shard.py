@@ -174,24 +174,11 @@ def build_prefix(tenants: tuple[TenantSpec, ...], quick: bool,
                     t = system.driver.write_page(page, data, t)
                     pages += 1
             service_est_ps = max(1, (t - start) // max(1, pages))
-            snapshot = _capture(system, tracer, suite, t)
+            snapshot = SimSnapshot.capture(
+                {"system": system, "tracer": tracer, "suite": suite,
+                 "t": t},
+                label="fleet-prefix")
     return snapshot, service_est_ps
-
-
-def _capture(system: NVDIMMCSystem, tracer: Tracer, suite,
-             t: int) -> SimSnapshot:
-    """Snapshot the post-prefill graph (see ``soak._capture_prefix``)."""
-    nvmc = system.nvmc
-    saved = (tracer.records, nvmc.operations, nvmc.fsm.history)
-    tracer.records = []
-    nvmc.operations = []
-    nvmc.fsm.history = []
-    try:
-        return SimSnapshot.capture(
-            {"system": system, "tracer": tracer, "suite": suite, "t": t},
-            label="fleet-prefix")
-    finally:
-        tracer.records, nvmc.operations, nvmc.fsm.history = saved
 
 
 def run_shard(snapshot: SimSnapshot, plan: ShardPlan,

@@ -11,79 +11,49 @@ violation.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
+    from repro.health.report import SHAPE
     from repro.health.soak import SoakRound, run_soak
-    from repro.health.report import render_report, validate_report
+    from repro.report import write_and_gate
 
     def progress(rnd: SoakRound) -> None:
         print(f"  [{rnd.health_before:>9} -> {rnd.health_after:<9}] "
               f"{rnd.name:<12} writes={rnd.writes} reads={rnd.reads} "
               f"refused={rnd.refused_writes} loss={rnd.data_loss}")
 
-    mode = "quick" if args.quick else "full"
-    print(f"repro soak: {mode} run, seed {args.seed}")
-    result = run_soak(seed=args.seed, quick=args.quick,
-                      capacity=args.capacity, p99_bound=args.p99_bound,
-                      progress=progress, snapshot=not args.no_snapshot)
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a soak failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"SOAK_{timestamp}.json"
-    path.write_text(payload)
-    totals = result.totals()
-    print(f"wrote {path}")
-    print(f"rounds={totals['rounds']} writes={totals['writes']} "
-          f"reads={totals['reads']} refused={totals['refused_writes']} "
-          f"data_loss={totals['data_loss']} "
-          f"violations={totals['violations']}")
-    print(f"edges: " + " ".join(
-        f"{edge}={count}" for edge, count in sorted(result.edges.items())))
-    print(f"p99: clean={result.clean_p99_ps} ps "
-          f"soak={result.soak_p99_ps} ps "
-          f"ratio={result.p99_ratio_x1000 / 1000:.2f}x "
-          f"(bound {result.p99_bound:.0f}x)")
-    if not result.ok:
-        if result.data_loss:
-            print(f"soak FAILED: {result.data_loss} pages lost",
-                  file=sys.stderr)
-        if not result.edges_ok:
-            missing = [e for e, n in sorted(result.edges.items()) if n < 1]
-            print(f"soak FAILED: ladder edges never exercised: {missing}",
-                  file=sys.stderr)
-        if not result.latency_ok:
-            print("soak FAILED: p99 latency degradation "
-                  f"{result.p99_ratio_x1000 / 1000:.2f}x exceeds the "
-                  f"{result.p99_bound:.0f}x bound", file=sys.stderr)
-        if result.violations:
-            print(f"soak FAILED: {result.violations} sanitizer violations",
-                  file=sys.stderr)
-        return 1
-    print("soak clean: zero data loss, full ladder coverage, "
-          "p99 within bound, sanitizers quiet")
-    return 0
+    def run():
+        mode = "quick" if args.quick else "full"
+        print(f"repro soak: {mode} run, seed {args.seed}")
+        return run_soak(seed=args.seed, quick=args.quick,
+                        capacity=args.capacity, p99_bound=args.p99_bound,
+                        progress=progress, snapshot=not args.no_snapshot)
+
+    def summary(result) -> str:
+        totals = result.totals()
+        print(f"rounds={totals['rounds']} writes={totals['writes']} "
+              f"reads={totals['reads']} refused={totals['refused_writes']} "
+              f"data_loss={totals['data_loss']} "
+              f"violations={totals['violations']}")
+        print("edges: " + " ".join(
+            f"{edge}={count}"
+            for edge, count in sorted(result.edges.items())))
+        print(f"p99: clean={result.clean_p99_ps} ps "
+              f"soak={result.soak_p99_ps} ps "
+              f"ratio={result.p99_ratio_x1000 / 1000:.2f}x "
+              f"(bound {result.p99_bound:.0f}x)")
+        return ("soak clean: zero data loss, full ladder coverage, "
+                "p99 within bound, sanitizers quiet")
+
+    return write_and_gate("SOAK", SHAPE, args.out, run, summary)
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``soak`` parser, standalone or under a parent CLI."""
+def build_parser(sub: "argparse._SubParsersAction") -> None:
+    """Add the ``soak`` command to the ``repro`` parser."""
     from repro.health.soak import DEFAULT_P99_BOUND
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro soak")
-    else:
-        parser = sub_or_none.add_parser(
-            "soak", help="long-run health soak down the recovery ladder")
+    parser = sub.add_parser(
+        "soak", help="long-run health soak down the recovery ladder")
     parser.add_argument("--quick", action="store_true",
                         help="smaller footprint per round")
     parser.add_argument("--seed", type=int, default=0,
@@ -100,14 +70,3 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                              "forking it from the shared prefix snapshot "
                              "(reports are byte-identical either way)")
     parser.set_defaults(fn=cmd_soak)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

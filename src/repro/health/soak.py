@@ -47,6 +47,7 @@ from repro.errors import FailStopError, MediaError
 from repro.health.monitor import HealthPolicy
 from repro.health.report import SCHEMA
 from repro.nvmc.nvmc import CPFaultPort
+from repro.report import Gate, Gated
 from repro.sim.snapshot import SimSnapshot
 from repro.sim.trace import Tracer, use_tracer
 from repro.units import PAGE_4K, kb, mb, us
@@ -99,7 +100,7 @@ class SoakRound:
 
 
 @dataclass
-class SoakResult:
+class SoakResult(Gated):
     """Everything one soak run observed."""
 
     seed: int
@@ -136,9 +137,20 @@ class SoakResult:
         return self.p99_ratio_x1000 <= round(1000 * self.p99_bound)
 
     @property
-    def ok(self) -> bool:
-        return (self.data_loss == 0 and self.violations == 0
-                and self.edges_ok and self.latency_ok)
+    def gates(self) -> list[Gate]:
+        missing = [edge for edge, n in sorted(self.edges.items()) if n < 1]
+        return [
+            Gate("zero_loss", self.data_loss == 0,
+                 f"soak FAILED: {self.data_loss} pages lost"),
+            Gate("ladder_edges", self.edges_ok,
+                 f"soak FAILED: ladder edges never exercised: {missing}"),
+            Gate("p99_within_bound", self.latency_ok,
+                 "soak FAILED: p99 latency degradation "
+                 f"{self.p99_ratio_x1000 / 1000:.2f}x exceeds the "
+                 f"{self.p99_bound:.0f}x bound"),
+            Gate("sanitizers_quiet", self.violations == 0,
+                 f"soak FAILED: {self.violations} sanitizer violations"),
+        ]
 
     def totals(self) -> dict[str, int]:
         return {
@@ -340,7 +352,10 @@ def run_soak(seed: int = 0, quick: bool = False,
     with use_tracer(tracer):
         with suite.attach(tracer):
             system, leg, rnd, t = _soak_prefix(soak_seed, footprint, tracer)
-            snap = _capture_prefix(system, tracer, suite, leg, t)
+            snap = SimSnapshot.capture(
+                {"system": system, "tracer": tracer, "suite": suite,
+                 "leg": leg, "t": t},
+                label="soak-prefix")
             _run_rounds_from(result, system, leg, rnd, t, soak_seed,
                              footprint, steps, scrub_windows, progress)
     twin_latencies = _fork_twin(snap, soak_seed, steps)
@@ -364,23 +379,6 @@ def _soak_prefix(seed: int, footprint: int, tracer: Tracer,
     t = round(us(1))
     t = leg.seq_write(t, 0, rnd, sample=True)
     return system, leg, rnd, t
-
-
-def _capture_prefix(system: NVDIMMCSystem, tracer: Tracer, suite,
-                    leg: "_Leg", t: int) -> SimSnapshot:
-    """Snapshot the post-prefix graph (see ``explorer._capture``)."""
-    nvmc = system.nvmc
-    saved = (tracer.records, nvmc.operations, nvmc.fsm.history)
-    tracer.records = []
-    nvmc.operations = []
-    nvmc.fsm.history = []
-    try:
-        return SimSnapshot.capture(
-            {"system": system, "tracer": tracer, "suite": suite,
-             "leg": leg, "t": t},
-            label="soak-prefix")
-    finally:
-        tracer.records, nvmc.operations, nvmc.fsm.history = saved
 
 
 def _fork_twin(snap: SimSnapshot, seed: int, steps: int) -> list[int]:

@@ -77,15 +77,13 @@ class FSMTracker:
 
     def __init__(self) -> None:
         self.state = NVMCState.IDLE
-        self.history: list[tuple[int, NVMCState]] = []
 
     def transition(self, new_state: NVMCState, time_ps: int) -> None:
-        """Move to ``new_state``, enforcing the transition table."""
+        """Move to ``new_state`` at ``time_ps``, enforcing the table."""
         allowed = TRANSITIONS[self.state]
         if new_state not in allowed:
             from repro.errors import DeviceError
             raise DeviceError(
                 f"illegal FSM transition {self.state.name} -> "
-                f"{new_state.name}")
+                f"{new_state.name} at {time_ps} ps")
         self.state = new_state
-        self.history.append((time_ps, new_state))

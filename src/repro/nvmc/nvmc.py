@@ -184,7 +184,6 @@ class NVMCModel(SnapshotMixin):
         #: Device serialisation point: the FSM handles one command at a
         #: time (the PoC's queue depth is one).
         self.ready_ps = 0
-        self.operations: list[OperationResult] = []
         self._phase = Phase.EVEN
         self._cmd_seq = 0
         #: Installed by fault campaigns; None on the (fast) clean path.
@@ -274,7 +273,6 @@ class NVMCModel(SnapshotMixin):
                                      phase=command.phase.name,
                                      status=result.status)
         self.ready_ps = result.completion_ps
-        self.operations.append(result)
         return result
 
     # -- operation flows ---------------------------------------------------------------

@@ -18,15 +18,14 @@ package is that scenario's proof machinery:
 
 from repro.recovery.explorer import ExplorerResult, RunOutcome, explore
 from repro.recovery.mount import MountReport, recover_mount
-from repro.recovery.report import SCHEMA, render_report, validate_report
+from repro.recovery.report import SCHEMA, SHAPE
 
 __all__ = [
     "ExplorerResult",
     "MountReport",
     "RunOutcome",
     "SCHEMA",
+    "SHAPE",
     "explore",
     "recover_mount",
-    "render_report",
-    "validate_report",
 ]

@@ -12,75 +12,50 @@ the sweep never reached the §V-C drain.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
 
 def cmd_crash(args: argparse.Namespace) -> int:
     from repro.recovery.explorer import explore
-    from repro.recovery.report import render_report, validate_report
+    from repro.recovery.report import SHAPE
+    from repro.report import write_and_gate
 
     def progress(done: int, planned: int) -> None:
         if done % 25 == 0 or done == planned:
             print(f"  explored {done}/{planned} cut points")
 
-    mode = "quick" if args.quick else "full"
-    print(f"repro crash: {mode} sweep, seed {args.seed}")
-    result = explore(seed=args.seed, quick=args.quick,
-                     capacity=args.capacity, progress=progress,
-                     snapshot=not args.no_snapshot)
-    timestamp = time.strftime("%Y%m%d-%H%M%S")
-    payload = render_report(result, timestamp=timestamp)
-    problems = validate_report(json.loads(payload))
-    if problems:    # a schema bug is a tooling failure, not a sweep failure
-        for problem in problems:
-            print(f"report schema problem: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"RECOVERY_{timestamp}.json"
-    path.write_text(payload)
-    totals = result.totals()
-    print(f"wrote {path}")
-    print(f"events={result.total_events} "
-          f"(workload {result.workload_events}, "
-          f"drain {result.total_events - result.workload_events}) "
-          f"cut_points={totals['cut_points']} "
-          f"drain_cuts={totals['drain_cuts']}")
-    print(f"committed_lost={totals['committed_lost']} "
-          f"torn_served={totals['torn_served']} "
-          f"torn_quarantined={totals['torn_quarantined']} "
-          f"acked_uncommitted={totals['acked_uncommitted']} "
-          f"violations={totals['sanitizer_violations']} "
-          f"failed_runs={totals['failed_runs']}")
-    print("sites: " + " ".join(
-        f"{site}={count}" for site, count in sorted(result.sites().items())))
-    if not result.ok:
-        if not result.baseline_ok:
-            print("crash sweep FAILED: fault-free baseline is not clean",
-                  file=sys.stderr)
-        if totals["failed_runs"]:
-            print(f"crash sweep FAILED: {totals['failed_runs']} cut points "
-                  "broke a recovery invariant", file=sys.stderr)
-        if totals["drain_cuts"] < 1:
-            print("crash sweep FAILED: no cut point landed inside the "
-                  "§V-C drain", file=sys.stderr)
-        return 1
-    print("crash sweep clean: every cut point remounted with committed "
-          "data intact and no torn page served")
-    return 0
+    def run():
+        mode = "quick" if args.quick else "full"
+        print(f"repro crash: {mode} sweep, seed {args.seed}")
+        return explore(seed=args.seed, quick=args.quick,
+                       capacity=args.capacity, progress=progress,
+                       snapshot=not args.no_snapshot)
+
+    def summary(result) -> str:
+        totals = result.totals()
+        print(f"events={result.total_events} "
+              f"(workload {result.workload_events}, "
+              f"drain {result.total_events - result.workload_events}) "
+              f"cut_points={totals['cut_points']} "
+              f"drain_cuts={totals['drain_cuts']}")
+        print(f"committed_lost={totals['committed_lost']} "
+              f"torn_served={totals['torn_served']} "
+              f"torn_quarantined={totals['torn_quarantined']} "
+              f"acked_uncommitted={totals['acked_uncommitted']} "
+              f"violations={totals['sanitizer_violations']} "
+              f"failed_runs={totals['failed_runs']}")
+        print("sites: " + " ".join(
+            f"{site}={count}"
+            for site, count in sorted(result.sites().items())))
+        return ("crash sweep clean: every cut point remounted with "
+                "committed data intact and no torn page served")
+
+    return write_and_gate("RECOVERY", SHAPE, args.out, run, summary)
 
 
-def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
-                 ) -> argparse.ArgumentParser:
-    """Build the ``crash`` parser, standalone or under a parent CLI."""
-    if sub_or_none is None:
-        parser = argparse.ArgumentParser(prog="repro crash")
-    else:
-        parser = sub_or_none.add_parser(
-            "crash", help="crash-point explorer (cut + remount sweep)")
+def build_parser(sub: "argparse._SubParsersAction") -> None:
+    """Add the ``crash`` command to the ``repro`` parser."""
+    parser = sub.add_parser(
+        "crash", help="crash-point explorer (cut + remount sweep)")
     parser.add_argument("--quick", action="store_true",
                         help="stride-sample the event space and bisect "
                              "behaviour boundaries instead of cutting at "
@@ -96,14 +71,3 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                              "forking tails from mid-run snapshots "
                              "(reports are byte-identical either way)")
     parser.set_defaults(fn=cmd_crash)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

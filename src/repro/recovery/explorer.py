@@ -59,6 +59,7 @@ from repro.device.power import PowerFailureModel
 from repro.errors import PowerLossInterrupt
 from repro.faults.clock import FaultClock
 from repro.recovery.mount import recover_mount
+from repro.report import Gate, Gated
 from repro.sim.snapshot import SimSnapshot, SnapshotTimeline
 from repro.sim.trace import Tracer, use_tracer
 from repro.units import PAGE_4K, kb, mb, us
@@ -119,7 +120,7 @@ class RunOutcome:
 
 
 @dataclass
-class ExplorerResult:
+class ExplorerResult(Gated):
     """Everything one ``repro crash`` sweep learned."""
 
     seed: int
@@ -188,11 +189,18 @@ class ExplorerResult:
         }
 
     @property
-    def ok(self) -> bool:
+    def gates(self) -> list[Gate]:
         totals = self.totals()
-        return (self.baseline_ok
-                and totals["failed_runs"] == 0
-                and totals["drain_cuts"] >= 1)
+        return [
+            Gate("baseline_clean", self.baseline_ok,
+                 "crash sweep FAILED: fault-free baseline is not clean"),
+            Gate("invariants_hold", totals["failed_runs"] == 0,
+                 f"crash sweep FAILED: {totals['failed_runs']} cut points "
+                 "broke a recovery invariant"),
+            Gate("drain_cut", totals["drain_cuts"] >= 1,
+                 "crash sweep FAILED: no cut point landed inside the "
+                 "§V-C drain"),
+        ]
 
     def to_dict(self) -> dict:
         from repro.recovery.report import SCHEMA
@@ -388,31 +396,6 @@ def _run_cut(seed: int, capacity: int,
 # -- the snapshot-based sweep --------------------------------------------------
 
 
-def _capture(roots: dict, t: int, op: int, events_seen: int) -> SimSnapshot:
-    """Capture the whole run graph at a workload-op boundary.
-
-    Append-only observability logs — retained trace records, the NVMC's
-    per-command :class:`OperationResult` list, the FSM transition
-    history — are swapped out for the duration of the dump: no recovery
-    report reads them, forks resume with empty logs, and the blob
-    shrinks by the size of the prefix history.  Sanitizer observation
-    state (inside the suite) and the live FSM *state* stay in — those
-    feed post-cut behaviour.
-    """
-    tracer = roots["tracer"]
-    nvmc = roots["system"].nvmc
-    saved = (tracer.records, nvmc.operations, nvmc.fsm.history)
-    tracer.records = []
-    nvmc.operations = []
-    nvmc.fsm.history = []
-    try:
-        return SimSnapshot.capture(dict(roots, t=t, op=op),
-                                   event_index=events_seen,
-                                   label=f"op{op}")
-    finally:
-        tracer.records, nvmc.operations, nvmc.fsm.history = saved
-
-
 def _golden_run(seed: int, capacity: int, cadence: int,
                 ) -> tuple[RunOutcome, int, int, SnapshotTimeline]:
     """The counting baseline, doubling as the snapshot producer.
@@ -445,13 +428,19 @@ def _golden_run(seed: int, capacity: int, cadence: int,
                      "clock": clock, "rng": rng, "acked": acked,
                      "history": history, "durable": durable}
             t = round(us(1))
+            # Captures at workload-op boundaries hold the sanitizer state
+            # and the live FSM state (they feed post-cut behaviour) but
+            # not the tracer's record archive: forks start with none.
             for op in range(_total_ops()):
                 if op % cadence == 0:
-                    timeline.add(_capture(roots, t, op, clock.events_seen))
+                    timeline.add(SimSnapshot.capture(
+                        dict(roots, t=t, op=op),
+                        event_index=clock.events_seen, label=f"op{op}"))
                 t = _workload_op(system.driver, rng, acked, history, t, op)
             workload_events = clock.events_seen
-            timeline.add(_capture(roots, t, _total_ops(),
-                                  clock.events_seen))
+            timeline.add(SimSnapshot.capture(
+                dict(roots, t=t, op=_total_ops()),
+                event_index=clock.events_seen, label=f"op{_total_ops()}"))
             power = PowerFailureModel(system.driver)
             power.fault_clock = clock
             power.power_fail(now_ps=t)

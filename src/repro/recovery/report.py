@@ -1,11 +1,9 @@
 """The schema-pinned ``RECOVERY_*.json`` crash-exploration report.
 
 Same contract as the faults and soak reports: :data:`SCHEMA` names the
-revision, :func:`render_report` serialises with sorted keys and a
-trailing newline — byte-identical for identical sweeps, since the
-wall-clock timestamp is injected by the caller (pass ``None`` for
-byte-stable output) — and :func:`validate_report` checks a parsed
-report against the pinned shape.
+revision and :data:`SHAPE` declares the payload that
+:func:`repro.report.check` validates (the wall-clock ``generated_at``
+is the *only* non-deterministic field).
 
 Shape notes:
 
@@ -27,78 +25,35 @@ Shape notes:
 
 from __future__ import annotations
 
-import json
-from typing import Any
-
-from repro.report import (require_bool, require_exact_keys,
-                          require_nonneg_ints, require_object_list,
-                          schema_id, validate_schema_report)
+from repro.report import (BOOL, COUNT, INT, TIMESTAMP, Leaf, ListOf, MapOf,
+                          one_of, schema_id)
 
 SCHEMA = schema_id("recovery", 1)
 
-_REPORT_KEYS = frozenset(
-    {"schema", "generated_at", "seed", "quick", "events", "cut_points",
-     "windows", "sites", "totals", "ok"})
-_EVENT_KEYS = frozenset({"total", "workload", "drain"})
-_WINDOW_KEYS = frozenset(
-    {"start", "end", "runs", "committed_lost", "torn_served",
-     "acked_uncommitted", "drain_interrupted", "remount_writable",
-     "violations"})
-_TOTAL_KEYS = frozenset(
-    {"cut_points", "drain_cuts", "committed_lost", "torn_served",
-     "acked_uncommitted", "torn_quarantined", "sanitizer_violations",
-     "replay_recovered", "replay_lost", "failed_runs"})
+
+def _sorted_cut_points(value: object) -> bool:
+    return (isinstance(value, list)
+            and all(type(p) is int and p >= 1 for p in value)
+            and value == sorted(set(value)))
 
 
-def render_report(result: Any, timestamp: str | None = None) -> str:
-    """Serialise an :class:`~repro.recovery.explorer.ExplorerResult`.
-
-    ``timestamp`` is stamped into ``generated_at`` verbatim; pass None
-    (the default) for byte-stable output.
-    """
-    payload = result.to_dict()
-    payload["generated_at"] = timestamp
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _detail(payload: dict, problems: list[str]) -> None:
-    if require_exact_keys(problems, payload.get("events"), _EVENT_KEYS,
-                          "events"):
-        require_nonneg_ints(problems, payload["events"],
-                            sorted(_EVENT_KEYS), "events.")
-    cut_points = payload.get("cut_points")
-    if not isinstance(cut_points, list) or any(
-            not isinstance(p, int) or p < 1 for p in cut_points):
-        problems.append("cut_points must be a list of positive ints")
-    elif cut_points != sorted(set(cut_points)):
-        problems.append("cut_points must be sorted and distinct")
-    for index, window in enumerate(require_object_list(problems, payload,
-                                                       "windows")):
-        if not isinstance(window, dict):
-            problems.append(f"windows[{index}] must be an object")
-            continue
-        if window.keys() != _WINDOW_KEYS:
-            problems.append(
-                f"windows[{index}] keys {sorted(window.keys())} != "
-                f"{sorted(_WINDOW_KEYS)}")
-            continue
-        require_nonneg_ints(
-            problems, window,
-            ("start", "end", "runs", "committed_lost", "torn_served",
-             "acked_uncommitted", "violations"), f"windows[{index}].")
-    sites = payload.get("sites")
-    if not isinstance(sites, dict) or any(
-            not isinstance(count, int) or count < 0
-            for count in sites.values()):
-        problems.append("sites must map site -> non-negative int")
-    if require_exact_keys(problems, payload.get("totals"), _TOTAL_KEYS,
-                          "totals"):
-        require_nonneg_ints(problems, payload["totals"],
-                            sorted(_TOTAL_KEYS), "totals.")
-    require_bool(problems, payload, "ok")
-
-
-def validate_report(payload: Any) -> list[str]:
-    """Problems with a parsed report; an empty list means valid."""
-    return validate_schema_report("recovery", 1, payload, _REPORT_KEYS,
-                                  detail=_detail)
+SHAPE = {
+    "schema": one_of(SCHEMA),
+    "generated_at": TIMESTAMP,
+    "seed": INT,
+    "quick": BOOL,
+    "events": dict.fromkeys(("total", "workload", "drain"), COUNT),
+    "cut_points": Leaf("a sorted list of distinct positive ints",
+                       _sorted_cut_points, [1]),
+    "windows": ListOf({
+        "start": COUNT, "end": COUNT, "runs": COUNT,
+        "committed_lost": COUNT, "torn_served": COUNT,
+        "acked_uncommitted": COUNT, "drain_interrupted": BOOL,
+        "remount_writable": BOOL, "violations": COUNT}),
+    "sites": MapOf(COUNT),
+    "totals": dict.fromkeys(
+        ("cut_points", "drain_cuts", "committed_lost", "torn_served",
+         "acked_uncommitted", "torn_quarantined", "sanitizer_violations",
+         "replay_recovered", "replay_lost", "failed_runs"), COUNT),
+    "ok": BOOL,
+}

@@ -1,33 +1,21 @@
 """Discrete-event simulation kernel.
 
-A compact generator-based DES in the style of SimPy, specialised for the
-NVDIMM-C simulator: integer picosecond time, deterministic FIFO tie
-breaking, and structured tracing.
+A compact DES specialised for the NVDIMM-C simulator: integer
+picosecond time, deterministic FIFO tie breaking, structured tracing,
+and copy-on-write snapshots.
 
 Public surface:
 
 * :class:`~repro.sim.engine.Engine` — event queue and simulated clock.
-* :class:`~repro.sim.process.Process` / ``Timeout`` / ``Event`` — the
-  coroutine layer (``yield Timeout(...)`` etc. from process generators).
-* :class:`~repro.sim.resources.Resource` / ``Store`` / ``Lock`` — queueing
-  primitives built on the coroutine layer.
 * :class:`~repro.sim.trace.Tracer` — structured event capture.
 """
 
 from repro.sim.engine import Engine
-from repro.sim.process import Event, Process, Timeout
-from repro.sim.resources import Lock, Resource, Store
 from repro.sim.trace import (NULL_TRACER, TraceRecord, Tracer,
                              default_tracer, set_default_tracer, use_tracer)
 
 __all__ = [
     "Engine",
-    "Event",
-    "Process",
-    "Timeout",
-    "Lock",
-    "Resource",
-    "Store",
     "TraceRecord",
     "Tracer",
     "NULL_TRACER",

@@ -4,9 +4,9 @@ The engine owns the simulated clock (integer picoseconds) and a binary
 heap of pending callbacks.  Ties at the same timestamp are broken by
 insertion order, which makes every simulation fully deterministic.
 
-The engine itself knows nothing about processes or resources; those are
-layered on top in :mod:`repro.sim.process` and
-:mod:`repro.sim.resources`.
+Callbacks are plain callables, never generator coroutines:
+:mod:`repro.sim.snapshot` can serialize a callback's state but not a
+suspended generator frame.
 """
 
 from __future__ import annotations

@@ -161,11 +161,14 @@ class Tracer(SnapshotMixin):
     # -- snapshot support -------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # ``_retain`` is a bound method of the records list; pickling it
-        # would smuggle the (possibly swapped-out) list into snapshot
-        # blobs and leave restored tracers appending to a detached copy.
+        # A snapshot carries simulation state, not observation history:
+        # the record archive stays out of the blob, so a restored tracer
+        # starts with an empty one (``dropped`` and the subscribers
+        # travel).  ``_retain`` is a bound method of the archive and is
+        # re-bound on restore.
         state = self.__dict__.copy()
         del state["_retain"]
+        state["records"] = []
         return state
 
     def __setstate__(self, state: dict) -> None:

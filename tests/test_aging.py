@@ -20,11 +20,12 @@ import pytest
 import repro
 
 from repro.aging.campaign import AgingConfig, run_aging
-from repro.aging.report import render_report, validate_report
+from repro.aging.report import SHAPE
 from repro.errors import ConfigError
 from repro.nand.endurance import (paper_device_lifetime,
                                   project_lifetime_years)
 from repro.nand.spec import ZNAND_64GB
+from repro.report import check, render_report
 from repro.units import gb
 
 QUICK = AgingConfig(quick=True)
@@ -133,7 +134,7 @@ class TestTelemetry:
 
 class TestReport:
     def test_report_validates(self, quick_payload):
-        assert validate_report(quick_payload) == []
+        assert check(SHAPE, quick_payload) == []
 
     def test_snapshot_knob_never_reaches_the_report(self, quick_payload):
         """snapshot-vs-rebuild byte-identity requires that the knob is
@@ -143,26 +144,26 @@ class TestReport:
     def test_missing_key_is_flagged(self, quick_payload):
         broken = dict(quick_payload)
         del broken["totals"]
-        assert validate_report(broken)
+        assert check(SHAPE, broken)
 
     def test_wrong_schema_is_flagged(self, quick_payload):
         broken = dict(quick_payload, schema="repro.aging/2")
-        assert validate_report(broken)
+        assert check(SHAPE, broken)
 
     def test_negative_counter_is_flagged(self, quick_payload):
         broken = json.loads(json.dumps(quick_payload))
         broken["totals"]["writes"] = -1
-        assert validate_report(broken)
+        assert check(SHAPE, broken)
 
     def test_mangled_shard_is_flagged(self, quick_payload):
         broken = json.loads(json.dumps(quick_payload))
         del broken["strategies"][0]["shards"][0]["ladder"]
-        assert validate_report(broken)
+        assert check(SHAPE, broken)
 
     def test_non_bool_gate_is_flagged(self, quick_payload):
         broken = json.loads(json.dumps(quick_payload))
         broken["gates"]["zero_loss"] = 1
-        assert validate_report(broken)
+        assert check(SHAPE, broken)
 
 
 class TestAnalyticCrossCheck:
@@ -212,7 +213,7 @@ class TestDeterminism:
 _DIGEST_SNIPPET = """
 import zlib
 from repro.aging.campaign import AgingConfig, run_aging
-from repro.aging.report import render_report
+from repro.report import render_report
 
 report = render_report(run_aging(AgingConfig(
     quick=True, shards=1, max_epochs=3, strategies=("greedy",))))

@@ -117,52 +117,6 @@ class TestCalibrationRule:
         assert lint_file(REPO_SRC / "perf" / "calibration.py") == []
 
 
-class TestGeneratorRule:
-    def test_yielded_literal_in_process_flagged(self, tmp_path):
-        path = plant(tmp_path,
-                     "def proc(engine):\n"
-                     "    yield Timeout(10)\n"
-                     "    yield 5\n")
-        assert codes(lint_file(path)) == ["REPRO004"]
-
-    def test_bare_yield_in_process_flagged(self, tmp_path):
-        path = plant(tmp_path,
-                     "def proc(lock):\n"
-                     "    yield lock.acquire()\n"
-                     "    yield\n"
-                     "    lock.release()\n")
-        assert codes(lint_file(path)) == ["REPRO004"]
-
-    def test_plain_generator_not_a_process(self, tmp_path):
-        path = plant(tmp_path,
-                     "def naturals(n):\n"
-                     "    for i in range(n):\n"
-                     "        yield i + 1\n")
-        assert lint_file(path) == []
-
-
-class TestResourceRule:
-    def test_acquire_without_release_flagged(self, tmp_path):
-        path = plant(tmp_path,
-                     "def f(lock):\n"
-                     "    yield lock.acquire()\n")
-        assert codes(lint_file(path)) == ["REPRO005"]
-
-    def test_acquire_release_pair_ok(self, tmp_path):
-        path = plant(tmp_path,
-                     "def f(lock):\n"
-                     "    yield lock.acquire()\n"
-                     "    lock.release()\n")
-        assert lint_file(path) == []
-
-    def test_with_block_counts_as_managed(self, tmp_path):
-        path = plant(tmp_path,
-                     "def f(lock):\n"
-                     "    with lock:\n"
-                     "        lock.acquire()\n")
-        assert lint_file(path) == []
-
-
 class TestTreeAndCli:
     def test_repo_tree_is_clean(self):
         assert lint_paths([REPO_SRC]) == []

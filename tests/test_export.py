@@ -2,9 +2,13 @@
 
 import csv
 import io
+import json
+from pathlib import Path
 
 from repro.analysis.export import diff_runs, load_json, to_csv, to_json
 from repro.analysis.results import ExperimentRecord
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def sample_records():
@@ -83,3 +87,10 @@ class TestDiff:
         text = to_csv([record])
         assert "fig12" in text
         assert load_json(to_json([record]))[0].experiment_id == "fig12"
+
+
+def test_committed_results_json_is_canonical():
+    """``results.json`` is byte-for-byte what :func:`to_json` writes for
+    its records (sorted keys), so regenerating it cannot reorder it."""
+    text = (REPO / "results.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from repro.faults import (INJECTORS, SCHEMA, campaign_matrix, injector_names,
-                          render_report, run_campaign, validate_report)
+from repro.cli import main
+from repro.errors import ConfigError
+from repro.faults import (INJECTORS, SCHEMA, SHAPE, campaign_matrix,
+                          injector_names, run_campaign)
 from repro.faults.campaign import cell_seed_for
-from repro.faults.cli import main as faults_main
+from repro.report import check, render_report
 
 
 @pytest.fixture(scope="module")
@@ -65,41 +67,41 @@ class TestReportSchema:
     def test_render_validates_clean(self, quick_result):
         payload = json.loads(render_report(quick_result))
         assert payload["schema"] == SCHEMA
-        assert validate_report(payload) == []
+        assert check(SHAPE, payload) == []
         assert payload["totals"]["cells"] == len(quick_result.cells)
 
     def test_timestamp_is_injected(self, quick_result):
         payload = json.loads(
             render_report(quick_result, timestamp="20260101-000000"))
         assert payload["generated_at"] == "20260101-000000"
-        assert validate_report(payload) == []
+        assert check(SHAPE, payload) == []
 
     def test_validator_rejects_mutations(self, quick_result):
         payload = json.loads(render_report(quick_result))
         payload["totals"]["injected"] = -1
-        assert validate_report(payload)
+        assert check(SHAPE, payload)
         payload = json.loads(render_report(quick_result))
         del payload["cells"][0]["recovered"]
-        assert validate_report(payload)
+        assert check(SHAPE, payload)
         payload = json.loads(render_report(quick_result))
         payload["schema"] = "repro.faults/999"
-        assert validate_report(payload)
+        assert check(SHAPE, payload)
 
 
 class TestCLI:
     def test_run_quick_writes_report(self, tmp_path, capsys):
-        rc = faults_main(["run", "--quick", "--seed", "0",
-                          "--out", str(tmp_path)])
+        rc = main(["faults", "run", "--quick", "--seed", "0",
+                   "--out", str(tmp_path)])
         assert rc == 0
         reports = list(tmp_path.glob("FAULTS_*.json"))
         assert len(reports) == 1
         payload = json.loads(reports[0].read_text())
-        assert validate_report(payload) == []
+        assert check(SHAPE, payload) == []
         out = capsys.readouterr().out
         assert "campaign clean" in out
 
     def test_list_prints_registry(self, capsys):
-        rc = faults_main(["list"])
+        rc = main(["faults", "list"])
         assert rc == 0
         out = capsys.readouterr().out
         for name in injector_names():
@@ -125,9 +127,9 @@ class TestOnly:
             run_campaign(seed=0, quick=True, only=["no-such-fault"])
 
     def test_cli_only_runs_the_named_cells(self, tmp_path, capsys):
-        rc = faults_main(["run", "--quick", "--seed", "0",
-                          "--only", "cp-corrupt",
-                          "--out", str(tmp_path)])
+        rc = main(["faults", "run", "--quick", "--seed", "0",
+                   "--only", "cp-corrupt",
+                   "--out", str(tmp_path)])
         assert rc == 0
         [report] = list(tmp_path.glob("FAULTS_*.json"))
         payload = json.loads(report.read_text())
@@ -135,11 +137,32 @@ class TestOnly:
         assert "only cp-corrupt" in capsys.readouterr().out
 
     def test_cli_unknown_id_lists_the_known_ones(self, tmp_path, capsys):
-        rc = faults_main(["run", "--quick", "--only", "bogus,cp-corrupt",
-                          "--out", str(tmp_path)])
+        rc = main(["faults", "run", "--quick", "--only", "bogus,cp-corrupt",
+                   "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "unknown fault ids: bogus" in err
         for name in injector_names():
             assert name in err
+        assert not list(tmp_path.glob("FAULTS_*.json"))
+
+    def test_fault_outside_the_matrix_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        # ca-noise is a real fault id, but only the full matrix runs it:
+        # a quick campaign restricted to it would run zero cells.
+        with pytest.raises(ConfigError, match="select no cell"):
+            run_campaign(seed=0, quick=True, only=["ca-noise"])
+        rc = main(["faults", "run", "--quick", "--only", "ca-noise",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "select no cell of the quick matrix" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.glob("FAULTS_*.json"))
+
+    def test_empty_only_is_a_usage_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="select no cell"):
+            run_campaign(seed=0, quick=True, only=[])
+        rc = main(["faults", "run", "--quick", "--only", ",",
+                   "--out", str(tmp_path)])
+        assert rc == 2
         assert not list(tmp_path.glob("FAULTS_*.json"))

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
-from repro.fleet.cli import main as fleet_main
 from repro.fleet.frontend import FleetConfig, run_fleet
 from repro.fleet.placement import (
     PLACEMENTS,
@@ -15,8 +15,9 @@ from repro.fleet.placement import (
     ZipfSampler,
 )
 from repro.fleet.qos import TenantQoS, percentile_ps
-from repro.fleet.report import SCHEMA, render_report, validate_report
+from repro.fleet.report import SCHEMA, SHAPE
 from repro.fleet.tenants import default_tenants
+from repro.report import check, render_report
 
 QUICK = dict(quick=True, shards=2, requests=2000, seed=7)
 
@@ -198,7 +199,7 @@ def test_fleet_report_round_trips(fleet_result):
     payload = json.loads(render_report(fleet_result))
     assert payload["schema"] == SCHEMA
     assert payload["generated_at"] is None
-    assert validate_report(payload) == []
+    assert check(SHAPE, payload) == []
     assert payload["totals"]["requests"] == 2000
     assert payload["ok"] is True
     assert len(payload["shards"]) == 2
@@ -221,7 +222,7 @@ def test_fleet_report_round_trips(fleet_result):
 def test_fleet_report_rejects_mutations(fleet_result, mutate, needle):
     payload = json.loads(render_report(fleet_result))
     mutate(payload)
-    problems = validate_report(payload)
+    problems = check(SHAPE, payload)
     assert problems
     assert any(needle in problem for problem in problems)
 
@@ -247,7 +248,7 @@ def test_wear_drives_health_ladder_without_loss():
     assert histogram.get("ok", 0) < 2
     assert result.data_loss == 0
     payload = json.loads(render_report(result))
-    assert validate_report(payload) == []
+    assert check(SHAPE, payload) == []
 
 
 def test_read_only_refusals_charge_refused_counter():
@@ -341,36 +342,46 @@ def test_tenant_pinned_run_isolates_pinned_tenants():
 
 
 def test_cli_run_writes_valid_report(tmp_path):
-    code = fleet_main(["run", "--quick", "--shards", "2", "--requests",
-                       "2000", "--out", str(tmp_path)])
+    code = main(["fleet", "run", "--quick", "--shards", "2", "--requests",
+                 "2000", "--out", str(tmp_path)])
     assert code == 0
     reports = list(tmp_path.glob("FLEET_*.json"))
     assert len(reports) == 1
     payload = json.loads(reports[0].read_text())
-    assert validate_report(payload) == []
+    assert check(SHAPE, payload) == []
     assert payload["generated_at"] is not None
 
 
 def test_cli_rejects_bad_flags(tmp_path, capsys):
-    assert fleet_main(["run", "--shards", "0", "--out",
-                       str(tmp_path)]) == 2
-    assert fleet_main(["run", "--jobs", "zero", "--out",
-                       str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--shards", "0", "--out",
+                 str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--jobs", "zero", "--out",
+                 str(tmp_path)]) == 2
+
+
+def test_cli_rejects_zero_requests(tmp_path, capsys):
+    # A fleet that serves nothing would pass every gate vacuously.
+    with pytest.raises(ConfigError, match="requests must be >= 1"):
+        FleetConfig(requests=0)
+    assert main(["fleet", "run", "--quick", "--requests", "0", "--out",
+                 str(tmp_path)]) == 2
+    assert "requests must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("FLEET_*.json"))
 
 
 def test_cli_rejects_out_of_range_wear(tmp_path, capsys):
-    assert fleet_main(["run", "--wear", "-1", "--out",
-                       str(tmp_path)]) == 2
-    assert fleet_main(["run", "--shards", "2", "--wear", "3", "--out",
-                       str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--wear", "-1", "--out",
+                 str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--shards", "2", "--wear", "3", "--out",
+                 str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "[0, 2]" in err
-    assert fleet_main(["run", "--worker-timeout", "0", "--out",
-                       str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--worker-timeout", "0", "--out",
+                 str(tmp_path)]) == 2
 
 
 def test_cli_list(capsys):
-    assert fleet_main(["list"]) == 0
+    assert main(["fleet", "list"]) == 0
     out = capsys.readouterr().out
     for name in PLACEMENTS:
         assert name in out

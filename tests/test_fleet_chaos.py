@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.fleet.chaos import (
     ChaosConfig,
-    ChaosEvent,
     ChaosRoles,
     ChaosShardOutcome,
     plan_events,
@@ -15,10 +15,10 @@ from repro.fleet.chaos import (
     route_failover,
     run_chaos,
 )
-from repro.fleet.chaos_report import SCHEMA, render_report, validate_report
-from repro.fleet.cli import main as fleet_main
+from repro.fleet.chaos_report import SCHEMA, SHAPE
 from repro.fleet.shard import Request, ShardResult, tenant_bases
 from repro.fleet.tenants import default_tenants
+from repro.report import check, render_report
 
 QUICK = dict(quick=True, shards=3, requests=4000, seed=3)
 
@@ -39,6 +39,8 @@ def test_config_rejects_bad_values():
         ChaosConfig(shards=3, queue_bound=0)
     with pytest.raises(ConfigError):
         ChaosConfig(shards=3, worker_timeout_s=0)
+    with pytest.raises(ConfigError, match="requests must be >= 1"):
+        ChaosConfig(shards=3, requests=0)
 
 
 def test_config_defaults():
@@ -217,7 +219,7 @@ def test_chaos_report_round_trips(chaos_result):
     payload = json.loads(render_report(chaos_result))
     assert payload["schema"] == SCHEMA == "repro.fleet.chaos/1"
     assert payload["generated_at"] is None
-    assert validate_report(payload) == []
+    assert check(SHAPE, payload) == []
     assert payload["ok"] is True
     assert all(payload["gates"].values())
     assert payload["totals"]["requests"] == 4000
@@ -255,7 +257,7 @@ def test_chaos_report_round_trips(chaos_result):
 def test_chaos_report_rejects_mutations(chaos_result, mutate, needle):
     payload = json.loads(render_report(chaos_result))
     mutate(payload)
-    problems = validate_report(payload)
+    problems = check(SHAPE, payload)
     assert problems
     assert any(needle in problem for problem in problems)
 
@@ -265,7 +267,7 @@ def test_remount_audit_is_validated(chaos_result):
     kill = next(entry for entry in payload["shards"]
                 if entry["role"] == "kill")
     kill["remounts"][0]["health_state"] = "undead"
-    problems = validate_report(payload)
+    problems = check(SHAPE, payload)
     assert any("health_state" in problem for problem in problems)
 
 
@@ -273,14 +275,14 @@ def test_remount_audit_is_validated(chaos_result):
 
 
 def test_cli_chaos_writes_valid_report(tmp_path, capsys):
-    code = fleet_main(["chaos", "--quick", "--shards", "3",
-                       "--requests", "4000", "--seed", "3", "--out",
-                       str(tmp_path)])
+    code = main(["fleet", "chaos", "--quick", "--shards", "3",
+                 "--requests", "4000", "--seed", "3", "--out",
+                 str(tmp_path)])
     assert code == 0
     reports = list(tmp_path.glob("CHAOS_*.json"))
     assert len(reports) == 1
     payload = json.loads(reports[0].read_text())
-    assert validate_report(payload) == []
+    assert check(SHAPE, payload) == []
     assert payload["generated_at"] is not None
     out = capsys.readouterr().out
     assert "chaos clean" in out
@@ -288,10 +290,10 @@ def test_cli_chaos_writes_valid_report(tmp_path, capsys):
 
 
 def test_cli_chaos_rejects_bad_flags(tmp_path, capsys):
-    assert fleet_main(["chaos", "--shards", "1", "--out",
-                       str(tmp_path)]) == 2
-    assert fleet_main(["chaos", "--worker-timeout", "0", "--out",
-                       str(tmp_path)]) == 2
+    assert main(["fleet", "chaos", "--shards", "1", "--out",
+                 str(tmp_path)]) == 2
+    assert main(["fleet", "chaos", "--worker-timeout", "0", "--out",
+                 str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "shards >= 2" in err
 

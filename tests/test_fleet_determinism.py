@@ -19,7 +19,7 @@ import repro
 
 from repro.fleet.frontend import run_fleet
 from repro.fleet.placement import ZipfSampler
-from repro.fleet.report import render_report
+from repro.report import render_report
 
 CONFIG = dict(quick=True, shards=2, requests=2000, seed=11)
 

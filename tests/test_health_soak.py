@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.health.cli import main as soak_main
+from repro.cli import main
 from repro.health.monitor import LADDER_EDGES
-from repro.health.report import SCHEMA, render_report, validate_report
+from repro.health.report import SCHEMA, SHAPE
 from repro.health.soak import run_soak
+from repro.report import check, render_report
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ class TestReportSchema:
     def test_report_validates(self, quick_result):
         payload = json.loads(render_report(quick_result, timestamp="T"))
         assert payload["schema"] == SCHEMA
-        assert validate_report(payload) == []
+        assert check(SHAPE, payload) == []
 
     @pytest.mark.parametrize("mutate, fragment", [
         (lambda p: p.pop("rounds"), "rounds"),
@@ -92,7 +93,7 @@ class TestReportSchema:
                                          fragment):
         payload = json.loads(render_report(quick_result, timestamp="T"))
         mutate(payload)
-        problems = validate_report(payload)
+        problems = check(SHAPE, payload)
         assert problems
         assert any(fragment in problem for problem in problems)
 
@@ -100,12 +101,12 @@ class TestReportSchema:
 @pytest.mark.sanitizer_exempt
 class TestCLI:
     def test_quick_cli_writes_a_report(self, tmp_path, capsys):
-        rc = soak_main(["--quick", "--seed", "0",
-                        "--out", str(tmp_path)])
+        rc = main(["soak", "--quick", "--seed", "0",
+                   "--out", str(tmp_path)])
         assert rc == 0
         [path] = list(tmp_path.glob("SOAK_*.json"))
         payload = json.loads(path.read_text())
-        assert validate_report(payload) == []
+        assert check(SHAPE, payload) == []
         out = capsys.readouterr().out
         assert "soak clean" in out
         assert "fail-stop" in out  # per-round progress lines printed

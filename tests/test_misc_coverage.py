@@ -1,13 +1,9 @@
 """Coverage for remaining corners: CLI report, config builds, trace
-replay on NVDIMM-C, process error propagation."""
+replay on NVDIMM-C."""
 
 import os
 
-import pytest
-
 from repro.config import ASIC_CONFIG, EXPERIMENT_CONFIG
-from repro.sim import Engine, Timeout
-from repro.sim.process import spawn
 from repro.units import PAGE_4K, kb, mb
 from repro.workloads.trace import Access, AccessTrace
 
@@ -73,34 +69,3 @@ class TestCliReport:
         text = (tmp_path / "EXPERIMENTS.md").read_text()
         assert "## Summary" in text
         assert "fig12" in text
-
-
-class TestProcessErrors:
-    def test_exception_propagates_from_process(self):
-        engine = Engine()
-
-        def exploder():
-            yield Timeout(10)
-            raise RuntimeError("boom")
-
-        spawn(engine, exploder())
-        with pytest.raises(RuntimeError, match="boom"):
-            engine.run()
-
-    def test_other_processes_unaffected_before_failure(self):
-        engine = Engine()
-        trail = []
-
-        def worker():
-            yield Timeout(5)
-            trail.append("worker")
-
-        def exploder():
-            yield Timeout(10)
-            raise RuntimeError("boom")
-
-        spawn(engine, worker())
-        spawn(engine, exploder())
-        with pytest.raises(RuntimeError):
-            engine.run()
-        assert trail == ["worker"]

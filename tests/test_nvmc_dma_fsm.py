@@ -92,7 +92,6 @@ class TestFSMTracker:
                       NVMCState.DRAM_WRITE, NVMCState.ACK, NVMCState.IDLE):
             fsm.transition(state, 0)
         assert fsm.state is NVMCState.IDLE
-        assert len(fsm.history) == 5
 
     def test_legal_writeback_path(self):
         fsm = FSMTracker()

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.recovery.explorer import explore
-from repro.recovery.report import SCHEMA, render_report, validate_report
+from repro.recovery.report import SCHEMA, SHAPE
+from repro.report import check, render_report
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ class TestQuickSweep:
 
     def test_report_validates(self, quick_result):
         payload = json.loads(render_report(quick_result))
-        assert validate_report(payload) == []
+        assert check(SHAPE, payload) == []
         assert payload["schema"] == SCHEMA
         assert payload["generated_at"] is None
 
@@ -60,7 +61,7 @@ class TestQuickSweep:
         payload = json.loads(
             render_report(quick_result, timestamp="20260807-000000"))
         assert payload["generated_at"] == "20260807-000000"
-        assert validate_report(payload) == []
+        assert check(SHAPE, payload) == []
 
 
 class TestReportValidation:
@@ -68,31 +69,31 @@ class TestReportValidation:
         return json.loads(render_report(quick_result))
 
     def test_rejects_non_object(self):
-        assert validate_report([1, 2]) != []
-        assert validate_report(None) != []
+        assert check(SHAPE, [1, 2]) != []
+        assert check(SHAPE, None) != []
 
     def test_rejects_wrong_schema(self, quick_result):
         payload = self.good(quick_result)
         payload["schema"] = "repro.recovery/0"
-        assert any("schema" in p for p in validate_report(payload))
+        assert any("schema" in p for p in check(SHAPE, payload))
 
     def test_rejects_missing_and_unknown_keys(self, quick_result):
         payload = self.good(quick_result)
         del payload["totals"]
         payload["surprise"] = 1
-        problems = validate_report(payload)
+        problems = check(SHAPE, payload)
         assert any("missing" in p for p in problems)
         assert any("unknown" in p for p in problems)
 
     def test_rejects_unsorted_cut_points(self, quick_result):
         payload = self.good(quick_result)
         payload["cut_points"] = payload["cut_points"][::-1]
-        assert any("sorted" in p for p in validate_report(payload))
+        assert any("sorted" in p for p in check(SHAPE, payload))
 
     def test_rejects_negative_totals(self, quick_result):
         payload = self.good(quick_result)
         payload["totals"]["committed_lost"] = -1
-        assert any("committed_lost" in p for p in validate_report(payload))
+        assert any("committed_lost" in p for p in check(SHAPE, payload))
 
 
 class TestCrashCommand:
@@ -103,6 +104,6 @@ class TestCrashCommand:
         reports = list(tmp_path.glob("RECOVERY_*.json"))
         assert len(reports) == 1
         payload = json.loads(reports[0].read_text())
-        assert validate_report(payload) == []
+        assert check(SHAPE, payload) == []
         out = capsys.readouterr().out
         assert "crash sweep clean" in out
