@@ -704,7 +704,7 @@ def run_aging(config: AgingConfig,
     """
     result = AgingResult(config=config)
     for strategy in config.strategies:
-        tracer = Tracer(enabled=True, capacity=600_000)
+        tracer = Tracer(enabled=True, archive=False)
         suite = default_suite(strict=False)
         if config.snapshot:
             with use_tracer(tracer):

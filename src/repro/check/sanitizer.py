@@ -18,7 +18,7 @@ Per-owner sharding
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.check.violations import SanitizerViolation
 from repro.sim.snapshot import SnapshotMixin
@@ -37,10 +37,10 @@ class Sanitizer:
     CONTEXT_DEPTH = 8
 
     #: Category prefixes this sanitizer reacts to, or ``None`` for all.
-    #: Purely a routing hint for :class:`SanitizerSuite`: ``observe``
-    #: must stay correct for any record, but an attached suite only
-    #: delivers records matching these prefixes, skipping the call for
-    #: the (majority of) records a sanitizer would ignore anyway.
+    #: Purely a routing hint: ``observe`` must stay correct for any
+    #: record, but an attached suite subscribes it to these prefixes
+    #: only, so the tracer skips the call for the (majority of) records
+    #: a sanitizer would ignore anyway.
     CATEGORIES: tuple[str, ...] | None = None
 
     def __init__(self) -> None:
@@ -80,42 +80,6 @@ class Sanitizer:
         return str(record.fields.get("owner", "?"))
 
 
-class _SuiteDispatch:
-    """The suite's single tracer subscription: one shared context append
-    plus category-routed ``observe`` calls.
-
-    Replaces per-sanitizer ``feed`` subscriptions on the tracer's hot
-    path: every sanitizer used to append each record to its own context
-    deque and then ignore most of them inside ``observe``.  The
-    dispatcher appends once to a context deque shared by the whole
-    suite (the per-sanitizer deques were always identical — every
-    sanitizer saw every record) and calls ``observe`` only on the
-    sanitizers whose :attr:`Sanitizer.CATEGORIES` match the record.
-
-    A module-level class (not a closure) so an attached suite inside a
-    simulation snapshot restores with its subscription intact.
-    """
-
-    def __init__(self, suite: "SanitizerSuite") -> None:
-        self.suite = suite
-        self.context: deque[TraceRecord] = deque(
-            maxlen=Sanitizer.CONTEXT_DEPTH)
-        # Exact category -> interested sanitizers, built on first sight.
-        self.routes: dict[str, list[Sanitizer]] = {}
-
-    def __call__(self, record: TraceRecord) -> None:
-        self.context.append(record)
-        targets = self.routes.get(record.category)
-        if targets is None:
-            category = record.category
-            targets = [s for s in self.suite.sanitizers
-                       if s.CATEGORIES is None
-                       or category.startswith(s.CATEGORIES)]
-            self.routes[category] = targets
-        for sanitizer in targets:
-            sanitizer.observe(record)
-
-
 class SanitizerSuite(SnapshotMixin):
     """A set of sanitizers attached to one tracer.
 
@@ -130,28 +94,32 @@ class SanitizerSuite(SnapshotMixin):
         self.sanitizers = list(sanitizers)
         self.strict = strict
         self._tracer: Tracer | None = None
-        self._dispatch: _SuiteDispatch | None = None
+        self._observers: list[Callable[[TraceRecord], None]] = []
         for sanitizer in self.sanitizers:
             sanitizer._suite = self
 
     # -- lifecycle ----------------------------------------------------------------
 
     def attach(self, tracer: Tracer) -> "SanitizerSuite":
-        """Subscribe the suite's dispatcher to ``tracer``; returns self.
+        """Subscribe the suite to ``tracer``; returns self.
 
-        One subscription for the whole suite: records are appended once
-        to a shared context deque and routed to interested sanitizers
-        by category (see :class:`_SuiteDispatch`).  Every sanitizer's
-        ``_context`` is re-pointed at the shared deque so violation
-        context is byte-identical to the per-sanitizer-feed era.
+        Every record is appended once to a context deque the whole
+        suite shares (each sanitizer's ``_context`` points at it, so a
+        violation's trace window is the stream's last records), then
+        handed to the ``observe`` of each sanitizer whose
+        :attr:`Sanitizer.CATEGORIES` match.  The tracer resolves that
+        handler list once per exact category.
         """
         if self._tracer is not None:
             raise RuntimeError("suite is already attached")
         self._tracer = tracer
-        self._dispatch = _SuiteDispatch(self)
+        context: deque[TraceRecord] = deque(maxlen=Sanitizer.CONTEXT_DEPTH)
         for sanitizer in self.sanitizers:
-            sanitizer._context = self._dispatch.context
-        tracer.subscribe(self._dispatch)
+            sanitizer._context = context
+        self._observers = [tracer.subscribe(context.append)]
+        for sanitizer in self.sanitizers:
+            self._observers.append(
+                tracer.subscribe(sanitizer.observe, sanitizer.CATEGORIES))
         return self
 
     def detach(self) -> None:
@@ -159,9 +127,9 @@ class SanitizerSuite(SnapshotMixin):
         for sanitizer in self.sanitizers:
             sanitizer.finalize()
         if self._tracer is not None:
-            if self._dispatch is not None:
-                self._tracer.unsubscribe(self._dispatch)
-                self._dispatch = None
+            for observer in self._observers:
+                self._tracer.unsubscribe(observer)
+            self._observers = []
             self._tracer = None
 
     def __enter__(self) -> "SanitizerSuite":

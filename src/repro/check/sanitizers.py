@@ -19,6 +19,31 @@ from repro.check.sanitizer import Sanitizer
 from repro.sim.trace import TraceRecord
 
 
+class _WindowFIFO(dict):
+    """One owner's remembered refresh windows: window index -> entry.
+
+    Past ``limit`` windows the oldest-remembered one is forgotten.  A
+    key deque beside the dict makes that O(1); deleting a plain dict's
+    first key instead walks every slot earlier deletions left behind,
+    which on a full table costs a scan per new window.
+    """
+
+    __slots__ = ("order",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.order: deque[int] = deque()
+
+    def remember(self, window: int, entry, limit: int):
+        """Add a window not yet remembered; returns ``entry``."""
+        self[window] = entry
+        order = self.order
+        order.append(window)
+        while len(order) > limit:
+            del self[order.popleft()]
+        return entry
+
+
 class BusRaceSanitizer(Sanitizer):
     """No two masters in overlapping bus slots; the device only drives
     inside the extended-tRFC window its REF opened (§III-B, Fig. 2).
@@ -266,10 +291,9 @@ class ProtocolSanitizer(Sanitizer):
         super().__init__()
         self._outstanding: dict[str, int] = {}
         self._depth: dict[str, int] = {}
-        # owner -> {window index: bytes scheduled} (insertion-ordered,
-        # pruned FIFO per owner — see WINDOW_MEMORY).
-        self._window_bytes: dict[str, dict[int, int]] = {}
-        self._window_cmds: dict[str, dict[int, set[int]]] = {}
+        # owner -> {window index: [bytes scheduled, CP command ids]},
+        # pruned FIFO per owner (WINDOW_MEMORY).
+        self._windows: dict[str, _WindowFIFO] = {}
         self._open_banks: dict[str, set[int]] = {}
 
     def observe(self, record: TraceRecord) -> None:
@@ -300,9 +324,14 @@ class ProtocolSanitizer(Sanitizer):
             window = int(record.fields["window"])
             nbytes = int(record.fields["bytes"])
             budget = int(record.fields["budget"])
-            windows = self._window_bytes.setdefault(owner, {})
-            total = windows.get(window, 0) + nbytes
-            windows[window] = total
+            windows = self._windows.get(owner)
+            if windows is None:
+                windows = self._windows[owner] = _WindowFIFO()
+            entry = windows.get(window)
+            if entry is None:
+                entry = windows.remember(window, [0, set()],
+                                         self.WINDOW_MEMORY)
+            total = entry[0] = entry[0] + nbytes
             if total > budget:
                 self.violation(
                     "window-budget",
@@ -310,8 +339,7 @@ class ProtocolSanitizer(Sanitizer):
                     f"exceeds the {budget}-byte per-window budget",
                     record=record, window=window, total=total,
                     budget=budget)
-            owner_cmds = self._window_cmds.setdefault(owner, {})
-            cmds = owner_cmds.setdefault(window, set())
+            cmds = entry[1]
             cmds.add(int(record.fields.get("cmd", 0)))
             depth = self._depth.get(owner, 1)
             if len(cmds) > depth:
@@ -322,10 +350,6 @@ class ProtocolSanitizer(Sanitizer):
                     f"(queue depth {depth})",
                     record=record, window=window, commands=sorted(cmds),
                     depth=depth)
-            while len(windows) > self.WINDOW_MEMORY:
-                del windows[next(iter(windows))]
-            while len(owner_cmds) > self.WINDOW_MEMORY:
-                del owner_cmds[next(iter(owner_cmds))]
         elif category == "cp.post":
             depth = int(record.fields.get("depth", 1))
             self._depth[owner] = depth
@@ -380,9 +404,9 @@ class ScrubSanitizer(Sanitizer):
 
     def __init__(self) -> None:
         super().__init__()
-        # owner -> {window index: True} (insertion-ordered, pruned FIFO).
-        self._scrub_windows: dict[str, dict[int, bool]] = {}
-        self._dma_windows: dict[str, dict[int, bool]] = {}
+        # owner -> {window index: True}, pruned FIFO (WINDOW_MEMORY).
+        self._scrub_windows: dict[str, _WindowFIFO] = {}
+        self._dma_windows: dict[str, _WindowFIFO] = {}
 
     def observe(self, record: TraceRecord) -> None:
         if record.category == "health.scrub":
@@ -399,7 +423,7 @@ class ScrubSanitizer(Sanitizer):
                     f"window {window} [{win_start}, {win_end}) ps",
                     record=record, window=window, start_ps=start,
                     end_ps=end, win_start=win_start, win_end=win_end)
-            if window in self._dma_windows.get(owner, {}):
+            if window in self._dma_windows.get(owner, ()):
                 self.violation(
                     "scrub-collision",
                     f"scrub claimed window {window} after host DMA "
@@ -409,7 +433,7 @@ class ScrubSanitizer(Sanitizer):
         elif record.category == "nvmc.dma":
             owner = str(record.fields.get("owner", "?"))
             window = int(record.fields["window"])
-            if window in self._scrub_windows.get(owner, {}):
+            if window in self._scrub_windows.get(owner, ()):
                 self.violation(
                     "scrub-collision",
                     f"host DMA landed in window {window} the patrol "
@@ -417,12 +441,13 @@ class ScrubSanitizer(Sanitizer):
                     record=record, window=window)
             self._remember(self._dma_windows, owner, window)
 
-    def _remember(self, table: dict[str, dict[int, bool]], owner: str,
+    def _remember(self, table: dict[str, _WindowFIFO], owner: str,
                   window: int) -> None:
-        windows = table.setdefault(owner, {})
-        windows[window] = True
-        while len(windows) > self.WINDOW_MEMORY:
-            del windows[next(iter(windows))]
+        windows = table.get(owner)
+        if windows is None:
+            windows = table[owner] = _WindowFIFO()
+        if window not in windows:
+            windows.remember(window, True, self.WINDOW_MEMORY)
 
 
 class TimeSanitizer(Sanitizer):
@@ -450,7 +475,9 @@ class TimeSanitizer(Sanitizer):
 
     def observe(self, record: TraceRecord) -> None:
         t = record.time_ps
-        if not isinstance(t, int) or isinstance(t, bool):
+        # ``type(t) is int`` is the common case and passes the rule.
+        if type(t) is not int and (not isinstance(t, int)
+                                   or isinstance(t, bool)):
             self.violation(
                 "non-integer-time",
                 f"record {record.category} carries non-integer time "
@@ -465,7 +492,8 @@ class TimeSanitizer(Sanitizer):
                 record=record, time=t)
             return
         if record.category in self._MONOTONIC_SET:
-            key = (self.owner_of(record), record.category)
+            # ``owner_of``, inlined: this observe runs for every record.
+            key = (str(record.fields.get("owner", "?")), record.category)
             last = self._last.get(key)
             if last is not None and t < last:
                 self.violation(

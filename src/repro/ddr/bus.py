@@ -190,7 +190,7 @@ class SharedBus:
         if command.kind is CommandKind.REF:
             fields["win_start"] = now_ps + self.spec.trfc_device_ps
             fields["win_end"] = now_ps + self.spec.trfc_ps
-        self.tracer.emit(now_ps, "ddr.cmd", str(command), **fields)
+        self.tracer.emit(now_ps, "ddr.cmd", command, **fields)
 
     def _reserve(self, lane: _Lane, bus_name: str, master: str,
                  command: Command, start_ps: int, end_ps: int) -> None:

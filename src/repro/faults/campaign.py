@@ -154,7 +154,6 @@ def cell_seed_for(seed: int, fault: str, workload: str) -> int:
 
 
 def run_campaign(seed: int = 0, quick: bool = False,
-                 capacity: int = 400_000,
                  progress: Callable[[CellResult], None] | None = None,
                  only: list[str] | None = None) -> CampaignResult:
     """Execute the matrix; each cell under its own sanitized tracer.
@@ -168,7 +167,7 @@ def run_campaign(seed: int = 0, quick: bool = False,
     for fault_name, workload_name in cells:
         injector = INJECTORS[fault_name]
         cseed = cell_seed_for(seed, fault_name, workload_name)
-        tracer = Tracer(enabled=True, capacity=capacity)
+        tracer = Tracer(enabled=True, archive=False)
         suite = default_suite(strict=False)
         with use_tracer(tracer):
             with suite.attach(tracer):

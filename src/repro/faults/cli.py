@@ -40,8 +40,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"repro faults run: {mode} matrix, seed {args.seed}"
               + (f", only {','.join(only)}" if only else ""))
         return run_campaign(seed=args.seed, quick=args.quick,
-                            capacity=args.capacity, progress=progress,
-                            only=only)
+                            progress=progress, only=only)
 
     def summary(result) -> str:
         totals = result.totals()
@@ -78,8 +77,6 @@ def build_parser(sub: "argparse._SubParsersAction") -> None:
                        help="campaign seed (default 0)")
     p_run.add_argument("--out", default="results",
                        help="directory for FAULTS_<timestamp>.json")
-    p_run.add_argument("--capacity", type=int, default=400_000,
-                       help="per-cell tracer retention bound (records)")
     p_run.add_argument("--only", default=None, metavar="ID[,ID...]",
                        help="run only the named faults (see 'faults list'; "
                             "cell seeds are unchanged)")

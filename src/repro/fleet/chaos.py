@@ -40,7 +40,6 @@ at any ``jobs`` setting.
 from __future__ import annotations
 
 import random
-import warnings
 import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -356,12 +355,7 @@ def run_chaos_shard(snapshot: SimSnapshot, plan: ChaosShardPlan,
         + [(req, True) for req in plan.hedges],
         key=lambda entry: (entry[0].arrival_ps, entry[0].seq, entry[1]))
 
-    with use_tracer(tracer), warnings.catch_warnings():
-        # Same rationale as run_shard: the bounded trace archive
-        # overflows by design on long serves; sanitizers subscribe
-        # upstream of the drop.
-        warnings.filterwarnings("ignore", message="Tracer capacity",
-                                category=RuntimeWarning)
+    with use_tracer(tracer):
         inflight: deque[int] = deque()
         t_free = epoch
         first_start = last_end = epoch

@@ -25,7 +25,6 @@ results.
 from __future__ import annotations
 
 import random
-import warnings
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -152,7 +151,7 @@ def build_prefix(tenants: tuple[TenantSpec, ...], quick: bool,
     """
     cache_bytes = _QUICK_CACHE if quick else _FULL_CACHE
     device_bytes = _QUICK_DEVICE if quick else _FULL_DEVICE
-    tracer = Tracer(enabled=True, capacity=200_000)
+    tracer = Tracer(enabled=True, archive=False)
     suite = default_suite(strict=False)
     with use_tracer(tracer):
         with suite.attach(tracer):
@@ -198,13 +197,7 @@ def run_shard(snapshot: SimSnapshot, plan: ShardPlan,
     shadow: dict[int, bytes] = {}
     record_pages: set[int] = set()
 
-    with use_tracer(tracer), warnings.catch_warnings():
-        # Long shard runs overflow the tracer's bounded archive by
-        # design; the sanitizers subscribe upstream of the drop and the
-        # fleet never reads the archived records, so the capacity
-        # warning is noise here (and would tear the CLI table mid-run).
-        warnings.filterwarnings("ignore", message="Tracer capacity",
-                                category=RuntimeWarning)
+    with use_tracer(tracer):
         if plan.wear:
             rng = random.Random(plan.seed)
             dies = system.nand.dies

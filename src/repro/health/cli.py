@@ -27,8 +27,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
         mode = "quick" if args.quick else "full"
         print(f"repro soak: {mode} run, seed {args.seed}")
         return run_soak(seed=args.seed, quick=args.quick,
-                        capacity=args.capacity, p99_bound=args.p99_bound,
-                        progress=progress, snapshot=not args.no_snapshot)
+                        p99_bound=args.p99_bound, progress=progress,
+                        snapshot=not args.no_snapshot)
 
     def summary(result) -> str:
         totals = result.totals()
@@ -60,8 +60,6 @@ def build_parser(sub: "argparse._SubParsersAction") -> None:
                         help="soak seed (default 0)")
     parser.add_argument("--out", default="results",
                         help="directory for SOAK_<timestamp>.json")
-    parser.add_argument("--capacity", type=int, default=400_000,
-                        help="tracer retention bound (records)")
     parser.add_argument("--p99-bound", type=float,
                         default=DEFAULT_P99_BOUND,
                         help="max faulted/clean p99 latency ratio")

@@ -315,7 +315,6 @@ def _run_twin(seed: int, footprint: int, steps: int,
 
 
 def run_soak(seed: int = 0, quick: bool = False,
-             capacity: int = 400_000,
              p99_bound: float = DEFAULT_P99_BOUND,
              progress: Callable[[SoakRound], None] | None = None,
              snapshot: bool = True) -> SoakResult:
@@ -335,7 +334,7 @@ def run_soak(seed: int = 0, quick: bool = False,
     steps = footprint
     scrub_windows = 32 if quick else 96
     result = SoakResult(seed=seed, quick=quick, p99_bound=p99_bound)
-    tracer = Tracer(enabled=True, capacity=capacity)
+    tracer = Tracer(enabled=True, archive=False)
     suite = default_suite(strict=False)
     if not snapshot:
         with use_tracer(tracer):

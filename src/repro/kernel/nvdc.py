@@ -40,9 +40,16 @@ from repro.kernel.eviction import EvictionPolicy, make_policy
 from repro.kernel.memmap import ReservedRegion
 from repro.nvmc.cp import CPAck, CPCommand, Opcode
 from repro.sim.snapshot import SnapshotMixin
+from repro.sim.trace import MessageTemplate
 from repro.nvmc.nvmc import NVMCModel, OperationResult
 from repro.perf.calibration import CalibrationConstants, DEFAULT_CALIBRATION
 from repro.units import PAGE_4K
+
+#: Trace messages, rendered from the record's fields only when read.
+_DIRTIED = MessageTemplate("page {page} dirtied")
+_FAULTED = MessageTemplate("fault page {page} -> slot {slot}")
+_SLOT = MessageTemplate("slot {slot}")
+_DEGRADED_READ = MessageTemplate("direct media read of page {page}")
 
 
 @dataclass
@@ -173,7 +180,7 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
                 "read-only", reason=health.reason or "read-only")
         self.dirty_slots.add(slot)
         if self.tracer.enabled:
-            self.tracer.emit(now_ps, "nvdc.dirty", f"page {page} dirtied",
+            self.tracer.emit(now_ps, "nvdc.dirty", _DIRTIED,
                              owner=self.trace_owner, page=page, slot=slot,
                              addr=self.region.slot_paddr(slot))
 
@@ -269,7 +276,7 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
         if for_write or (self.conservative_dirty and not degraded):
             self._mark_dirty(slot, page, t)
         if self.tracer.enabled:
-            self.tracer.emit(t, "nvdc.op", f"fault page {page} -> slot {slot}",
+            self.tracer.emit(t, "nvdc.op", _FAULTED,
                              owner=self.trace_owner, page=page, slot=slot,
                              start_ps=now_ps)
         self.stats.fault_ns_total += (t - now_ps) / 1000.0
@@ -440,7 +447,7 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
                          slot: int) -> None:
         """Trace one §V-B coherence action against a slot's paddr."""
         if self.tracer.enabled:
-            self.tracer.emit(now_ps, category, f"slot {slot}",
+            self.tracer.emit(now_ps, category, _SLOT,
                              owner=self.trace_owner, addr=addr,
                              bytes=PAGE_4K, slot=slot)
 
@@ -497,8 +504,7 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
             data, end_ps = bytes(PAGE_4K), now_ps
         self.stats.degraded_reads += 1
         if self.tracer.enabled:
-            self.tracer.emit(end_ps, "nvdc.degraded",
-                             f"direct media read of page {page}",
+            self.tracer.emit(end_ps, "nvdc.degraded", _DEGRADED_READ,
                              owner=self.trace_owner, page=page)
         return data, end_ps
 

@@ -37,8 +37,14 @@ from repro.nvmc.cp import CPAck, CPArea, CPCommand, Opcode, Phase
 from repro.nvmc.dma import DMAEngine
 from repro.nvmc.fsm import FirmwareModel, FSMTracker, NVMCState
 from repro.sim.snapshot import SnapshotMixin
-from repro.sim.trace import Tracer, default_tracer, next_owner
+from repro.sim.trace import (MessageTemplate, Tracer, default_tracer,
+                             next_owner)
 from repro.units import CACHELINE, PAGE_4K
+
+#: Trace messages, rendered from the record's fields only when read.
+_POSTED = MessageTemplate("{opcode} posted")
+_DONE = MessageTemplate("{opcode} done")
+_MOVED = MessageTemplate("{kind} {bytes}B in window {window}")
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,7 @@ class NVMCModel(SnapshotMixin):
         self._cmd_seq += 1
         cmd_id = self._cmd_seq
         if self.tracer.enabled:
-            self.tracer.emit(submit_ps, "cp.post",
-                             f"{command.opcode.name} posted",
+            self.tracer.emit(submit_ps, "cp.post", _POSTED,
                              owner=self.trace_owner, cmd=cmd_id, slot=slot,
                              opcode=command.opcode.name,
                              phase=command.phase.name,
@@ -266,8 +271,7 @@ class NVMCModel(SnapshotMixin):
                 self.cp.ack(slot, CPAck(phase=command.phase,
                                         status=result.status))
                 if self.tracer.enabled:
-                    self.tracer.emit(result.completion_ps, "cp.ack",
-                                     f"{command.opcode.name} done",
+                    self.tracer.emit(result.completion_ps, "cp.ack", _DONE,
                                      owner=self.trace_owner, cmd=cmd_id,
                                      slot=slot, opcode=command.opcode.name,
                                      phase=command.phase.name,
@@ -467,8 +471,7 @@ class NVMCModel(SnapshotMixin):
                    else window.start_ps)
             windows_used += 1
             if self.tracer.enabled:
-                self.tracer.emit(window.start_ps, "nvmc.dma",
-                                 f"{kind} {moved}B in window {window.index}",
+                self.tracer.emit(window.start_ps, "nvmc.dma", _MOVED,
                                  owner=self.trace_owner, cmd=self._cmd_seq,
                                  kind=kind, window=window.index, bytes=moved,
                                  requested=remaining,

@@ -27,8 +27,7 @@ def cmd_crash(args: argparse.Namespace) -> int:
         mode = "quick" if args.quick else "full"
         print(f"repro crash: {mode} sweep, seed {args.seed}")
         return explore(seed=args.seed, quick=args.quick,
-                       capacity=args.capacity, progress=progress,
-                       snapshot=not args.no_snapshot)
+                       progress=progress, snapshot=not args.no_snapshot)
 
     def summary(result) -> str:
         totals = result.totals()
@@ -64,8 +63,6 @@ def build_parser(sub: "argparse._SubParsersAction") -> None:
                         help="workload seed (default 0)")
     parser.add_argument("--out", default="results",
                         help="directory for RECOVERY_<timestamp>.json")
-    parser.add_argument("--capacity", type=int, default=200_000,
-                        help="per-run tracer retention bound (records)")
     parser.add_argument("--no-snapshot", action="store_true",
                         help="re-run every cut from event zero instead of "
                              "forking tails from mid-run snapshots "

@@ -331,7 +331,7 @@ def _verify(driver, acked: dict[int, int], history: dict[int, set[int]],
         outcome.remount_writable = False
 
 
-def _run_cut(seed: int, capacity: int,
+def _run_cut(seed: int,
              cut_index: int | None) -> tuple[RunOutcome, int, int]:
     """One deterministic run; ``cut_index=None`` is the counting baseline.
 
@@ -341,7 +341,7 @@ def _run_cut(seed: int, capacity: int,
     baseline's counts number the whole explorable space.
     """
     rng = random.Random(seed)
-    tracer = Tracer(enabled=True, capacity=capacity)
+    tracer = Tracer(enabled=True, archive=False)
     suite = default_suite(strict=False)
     outcome = RunOutcome(index=cut_index if cut_index is not None else 0)
     with use_tracer(tracer):
@@ -396,17 +396,17 @@ def _run_cut(seed: int, capacity: int,
 # -- the snapshot-based sweep --------------------------------------------------
 
 
-def _golden_run(seed: int, capacity: int, cadence: int,
+def _golden_run(seed: int, cadence: int,
                 ) -> tuple[RunOutcome, int, int, SnapshotTimeline]:
     """The counting baseline, doubling as the snapshot producer.
 
-    Identical simulation to ``_run_cut(seed, capacity, None)`` —
+    Identical simulation to ``_run_cut(seed, None)`` —
     captures are pure reads — plus a :class:`SnapshotTimeline` entry
     every ``cadence`` workload ops and one at the workload/drain
     boundary (so in-drain cuts fork without re-running any workload).
     """
     rng = random.Random(seed)
-    tracer = Tracer(enabled=True, capacity=capacity)
+    tracer = Tracer(enabled=True, archive=False)
     suite = default_suite(strict=False)
     outcome = RunOutcome(index=0)
     timeline = SnapshotTimeline()
@@ -525,7 +525,6 @@ def _quick_points(total: int, workload_events: int) -> list[int]:
 
 
 def explore(seed: int = 0, quick: bool = False,
-            capacity: int = 200_000,
             progress: Callable[[int, int], None] | None = None,
             snapshot: bool = True,
             ) -> ExplorerResult:
@@ -546,9 +545,9 @@ def explore(seed: int = 0, quick: bool = False,
     if snapshot:
         cadence = SNAP_CADENCE_QUICK if quick else SNAP_CADENCE_FULL
         baseline, workload_events, total, timeline = _golden_run(
-            seed, capacity, cadence)
+            seed, cadence)
     else:
-        baseline, workload_events, total = _run_cut(seed, capacity, None)
+        baseline, workload_events, total = _run_cut(seed, None)
     result.total_events = total
     result.workload_events = workload_events
     # With no cut the drain completes: everything acked must be intact.
@@ -568,7 +567,7 @@ def explore(seed: int = 0, quick: bool = False,
             if timeline is not None:
                 outcome = _replay_cut(timeline, index)
             else:
-                outcome, _, _ = _run_cut(seed, capacity, index)
+                outcome, _, _ = _run_cut(seed, index)
             explored[index] = outcome
             if progress is not None:
                 progress(len(explored), planned)

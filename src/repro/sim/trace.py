@@ -8,13 +8,25 @@ boolean) and tests enable it to assert on protocol-level behaviour, e.g.
 Two consumers exist:
 
 * **retention** — records are stored in ``Tracer.records`` (optionally
-  capacity-bounded) for post-hoc inspection and audits;
+  capacity-bounded) for post-hoc inspection and audits.  A tracer built
+  with ``archive=False`` keeps no records at all: the harnesses and the
+  pytest fixture observe through the sanitizers and never read an
+  archive, so they do not pay for one;
 * **subscription** — online observers (the ``repro.check`` sanitizers)
   registered with :meth:`Tracer.subscribe` see *every* record that passes
-  the enabled/category filters, even records the capacity bound drops
-  from storage.  Observation is therefore complete while the archived
-  trace may not be — which is why the sanitizers refuse to *certify* a
-  run whose tracer reports ``dropped > 0``.
+  the enabled/category filters and their own category prefixes, even
+  records the capacity bound drops from storage.  Observation is
+  therefore complete while the archived trace may not be — which is why
+  the sanitizers refuse to *certify* a run whose tracer reports
+  ``dropped > 0``.
+
+Delivery is routed once per exact category: the first record of a
+category resolves the observers it goes to (and whether the category
+filter passes it at all), and later records of that category go
+straight to that handler tuple.  Record messages are rendered only when
+read (:attr:`TraceRecord.message`): hot emitters pass a
+:class:`MessageTemplate` over the record's fields, or an object whose
+``str`` is the message, instead of formatting text no observer reads.
 
 Models that accept a ``tracer`` argument treat ``None`` as "use the
 ambient default tracer" (:func:`default_tracer`), which is the disabled
@@ -29,14 +41,26 @@ from __future__ import annotations
 import itertools
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.sim.snapshot import SnapshotMixin
 from repro.units import format_time
 
+#: An online observer of trace records.
+Observer = Callable[["TraceRecord"], None]
 
-@dataclass(frozen=True, slots=True)
+
+class MessageTemplate(str):
+    """A record message rendered on read: ``str.format_map`` over the
+    record's fields (``MessageTemplate("{kind} {bytes}B")``).
+
+    Hot emitters pass a module-level template instead of an f-string, so
+    a record whose message nobody reads never formats one.
+    """
+
+    __slots__ = ()
+
+
 class TraceRecord:
     """One traced occurrence.
 
@@ -45,17 +69,38 @@ class TraceRecord:
     convention emitters include an ``owner`` field naming the subsystem
     instance the record belongs to, so online observers can shard state
     when several systems share one tracer.
+
+    The message is stored as the emitter passed it and rendered by
+    :attr:`message`: a :class:`MessageTemplate` is formatted over
+    ``fields``, anything else (a plain string, a bus ``Command``) by
+    ``str``.
     """
 
-    time_ps: int
-    category: str
-    message: str
-    fields: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time_ps", "category", "_message", "fields")
+
+    def __init__(self, time_ps: int, category: str, message: object,
+                 fields: dict[str, Any] | None = None) -> None:
+        self.time_ps = time_ps
+        self.category = category
+        self._message = message
+        self.fields = {} if fields is None else fields
+
+    @property
+    def message(self) -> str:
+        message = self._message
+        if isinstance(message, MessageTemplate):
+            return message.format_map(self.fields)
+        return str(message)
 
     def __str__(self) -> str:
         extra = " ".join(f"{k}={v}" for k, v in self.fields.items())
         text = f"[{format_time(self.time_ps):>12}] {self.category}: {self.message}"
         return f"{text} {extra}".rstrip()
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(time_ps={self.time_ps!r}, "
+                f"category={self.category!r}, message={self.message!r}, "
+                f"fields={self.fields!r})")
 
 
 class TraceMeter:
@@ -64,99 +109,113 @@ class TraceMeter:
     ``records_emitted`` counts every record that passed the enabled /
     category filters (whether or not retention kept it);
     ``peak_retained`` is the high-water mark of any single tracer's
-    retained record list; ``records_elided`` counts emissions that
-    skipped building a :class:`TraceRecord` because the record would
-    have been neither retained (capacity reached) nor observed (no
-    subscribers) — the pool-the-garbage degenerate case where the
-    cheapest pooled object is no object.  Disabled tracers never touch
-    these, so the normal (tracing-off) hot path is unaffected.
+    retained record list (archive-less tracers never raise it).
+    Disabled tracers never touch these, so the normal (tracing-off) hot
+    path is unaffected.
     """
 
     records_emitted: int = 0
     peak_retained: int = 0
-    records_elided: int = 0
 
     @classmethod
     def reset(cls) -> None:
         cls.records_emitted = 0
         cls.peak_retained = 0
-        cls.records_elided = 0
 
 
 class Tracer(SnapshotMixin):
     """Collects trace records, optionally filtered by category prefix.
 
+    ``categories`` (fixed at construction) selects the records that
+    exist at all; ``archive=False`` builds a tracer that only delivers
+    records to its subscribers and keeps none.
+
     Drop semantics under a ``capacity`` bound are intentionally
-    retention-only: a record past capacity is still *constructed* and
-    still *delivered to every subscriber* — only its archival in
-    ``records`` is skipped (counted in ``dropped``).  Certification in
-    ``repro.check`` keys off ``dropped`` because the archived trace is
-    incomplete, but online observation (the sanitizers themselves)
-    remains complete.  The disabled / category-filtered early-outs in
-    :meth:`emit` happen *before* record construction and before
-    subscriber delivery — a filtered-out record does not exist for
-    either consumer.
+    retention-only: a record past capacity is still *delivered to every
+    subscriber* — only its archival in ``records`` is skipped (counted
+    in ``dropped``).  Certification in ``repro.check`` keys off
+    ``dropped`` because the archived trace is incomplete, but online
+    observation (the sanitizers themselves) remains complete.  The
+    disabled / category-filtered early-outs in :meth:`emit` happen
+    *before* record construction and before subscriber delivery — a
+    filtered-out record does not exist for either consumer.  A record
+    that would be neither archived nor observed is never built.
     """
 
     def __init__(self, enabled: bool = False,
                  categories: tuple[str, ...] | None = None,
-                 capacity: int | None = None) -> None:
+                 capacity: int | None = None,
+                 archive: bool = True) -> None:
         self.enabled = enabled
-        # Normalised to a real tuple so ``emit`` can hand it straight to
+        # Normalised to a real tuple so routing can hand it straight to
         # ``str.startswith`` (which accepts a tuple of prefixes).
         self.categories = tuple(categories) if categories is not None else None
         self.capacity = capacity
+        self.archive = archive
         self.records: list[TraceRecord] = []
         self.dropped = 0
         self._warned_dropped = False
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
-        # The hot append path, bound once (re-bound by ``clear``): the
-        # per-emit cost is a single call with no attribute traversal.
-        self._retain = self.records.append
+        #: (observer, category prefixes or None for all), in order.
+        self._subscribers: list[tuple[Observer, tuple[str, ...] | None]] = []
+        #: Exact category -> the observers its records go to, or None
+        #: when the category filter drops it; filled by :meth:`_route`.
+        self._routes: dict[str, tuple[Observer, ...] | None] = {}
 
-    def emit(self, time_ps: int, category: str, message: str,
+    def emit(self, time_ps: int, category: str, message: object,
              **fields: Any) -> None:
         """Record an event if tracing is on and the category is selected.
 
-        The early-outs are ordered cheapest-first and fire before the
-        :class:`TraceRecord` is built: a disabled or filtered ``emit`` is
-        one or two branches, no allocation, no subscriber calls.  Past
-        the filters the common case is one record construction, one
-        pre-bound list append, and the subscriber fan-out; a record that
-        would be neither retained nor observed is never built at all
-        (``TraceMeter.records_elided``).
+        A disabled ``emit`` is one branch; past it, one dict lookup
+        yields the category's handler tuple (``None`` when the category
+        filter drops it).  ``message`` is stored unrendered (see
+        :class:`TraceRecord`).
         """
         if not self.enabled:
             return
-        categories = self.categories
-        if categories is not None and not category.startswith(categories):
+        try:
+            handlers = self._routes[category]
+        except KeyError:
+            handlers = self._route(category)
+        if handlers is None:
             return
         TraceMeter.records_emitted += 1
-        records = self.records
-        if self.capacity is not None and len(records) >= self.capacity:
-            self.dropped += 1
-            if not self._warned_dropped:
-                self._warned_dropped = True
-                warnings.warn(
-                    f"Tracer capacity ({self.capacity} records) reached; "
-                    "further records are dropped from storage (subscribers "
-                    "still observe them).  The archived trace is incomplete "
-                    "and sanitizers will refuse to certify this run.",
-                    RuntimeWarning, stacklevel=2)
-            subscribers = self._subscribers
-            if not subscribers:
-                TraceMeter.records_elided += 1
+        if self.archive:
+            records = self.records
+            if self.capacity is None or len(records) < self.capacity:
+                record = TraceRecord(time_ps, category, message, fields)
+                records.append(record)
+                if len(records) > TraceMeter.peak_retained:
+                    TraceMeter.peak_retained = len(records)
+                for handler in handlers:
+                    handler(record)
                 return
+            self._drop()
+        if handlers:
             record = TraceRecord(time_ps, category, message, fields)
-            for subscriber in subscribers:
-                subscriber(record)
-            return
-        record = TraceRecord(time_ps, category, message, fields)
-        self._retain(record)
-        if len(records) > TraceMeter.peak_retained:
-            TraceMeter.peak_retained = len(records)
-        for subscriber in self._subscribers:
-            subscriber(record)
+            for handler in handlers:
+                handler(record)
+
+    def _route(self, category: str) -> tuple[Observer, ...] | None:
+        """Resolve and cache where records of ``category`` go."""
+        categories = self.categories
+        handlers: tuple[Observer, ...] | None = None
+        if categories is None or category.startswith(categories):
+            handlers = tuple(
+                observer for observer, prefixes in self._subscribers
+                if prefixes is None or category.startswith(prefixes))
+        self._routes[category] = handlers
+        return handlers
+
+    def _drop(self) -> None:
+        self.dropped += 1
+        if not self._warned_dropped:
+            self._warned_dropped = True
+            warnings.warn(
+                f"Tracer capacity ({self.capacity} records) reached; "
+                "further records are dropped from storage (subscribers "
+                "still observe them).  The archived trace is incomplete "
+                "and sanitizers will refuse to certify this run.",
+                RuntimeWarning, stacklevel=3)
 
     # -- snapshot support -------------------------------------------------------
 
@@ -164,36 +223,36 @@ class Tracer(SnapshotMixin):
         # A snapshot carries simulation state, not observation history:
         # the record archive stays out of the blob, so a restored tracer
         # starts with an empty one (``dropped`` and the subscribers
-        # travel).  ``_retain`` is a bound method of the archive and is
-        # re-bound on restore.
+        # travel).  The route cache is rebuilt on first use.
         state = self.__dict__.copy()
-        del state["_retain"]
         state["records"] = []
+        state["_routes"] = {}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._retain = self.records.append
 
     # -- online observation -----------------------------------------------------
 
-    def subscribe(self, observer: Callable[[TraceRecord], None]
-                  ) -> Callable[[TraceRecord], None]:
-        """Register an online observer of every emitted record.
+    def subscribe(self, observer: Observer,
+                  categories: tuple[str, ...] | None = None) -> Observer:
+        """Register an online observer of emitted records.
 
+        ``categories`` restricts delivery to records whose category
+        starts with one of the prefixes (``None``: every record).
         Subscribers see records *before* any capacity-based drop, so
         observation is complete even when retention is bounded.  Returns
         the observer for symmetry with :meth:`unsubscribe`.
         """
-        self._subscribers.append(observer)
+        prefixes = tuple(categories) if categories is not None else None
+        self._subscribers.append((observer, prefixes))
+        self._routes.clear()
         return observer
 
-    def unsubscribe(self, observer: Callable[[TraceRecord], None]) -> None:
+    def unsubscribe(self, observer: Observer) -> None:
         """Remove a previously registered observer (no-op if absent)."""
-        try:
-            self._subscribers.remove(observer)
-        except ValueError:
-            pass
+        for index, (subscribed, _prefixes) in enumerate(self._subscribers):
+            if subscribed == observer:
+                del self._subscribers[index]
+                self._routes.clear()
+                return
 
     # -- retention --------------------------------------------------------------
 
@@ -206,7 +265,6 @@ class Tracer(SnapshotMixin):
         self.records.clear()
         self.dropped = 0
         self._warned_dropped = False
-        self._retain = self.records.append
 
     def summary(self) -> str:
         """One-line retention summary (shown by the check CLI)."""

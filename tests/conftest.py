@@ -17,11 +17,6 @@ import pytest
 from repro.check.sanitizer import default_suite
 from repro.sim.trace import Tracer, set_default_tracer
 
-#: Retention bound: big experiment tests stay memory-bounded; the
-#: sanitizers subscribe upstream of the drop, so observation — and the
-#: violation check below — remains complete regardless.
-TRACE_CAPACITY = 200_000
-
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -36,7 +31,9 @@ def sanitized_trace(request):
     if request.node.get_closest_marker("sanitizer_exempt"):
         yield None
         return
-    tracer = Tracer(enabled=True, capacity=TRACE_CAPACITY)
+    # No archive: nothing reads the ambient tracer's records, and the
+    # sanitizers observe every record without one.
+    tracer = Tracer(enabled=True, archive=False)
     suite = default_suite(strict=False)
     suite.attach(tracer)
     previous = set_default_tracer(tracer)
