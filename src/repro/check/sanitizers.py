@@ -30,9 +30,15 @@ class _WindowFIFO(dict):
 
     __slots__ = ("order",)
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.order: deque[int] = deque()
+    def __init__(self, windows: dict | None = None) -> None:
+        super().__init__(windows or ())
+        #: Always the dict's own key order, oldest first.
+        self.order: deque[int] = deque(self)
+
+    def __reduce__(self):
+        # ``order`` is derivable from the dict, so a snapshot carries
+        # the plain dict alone and the deque is rebuilt on restore.
+        return (_WindowFIFO, (dict(self),))
 
     def remember(self, window: int, entry, limit: int):
         """Add a window not yet remembered; returns ``entry``."""
@@ -297,15 +303,16 @@ class ProtocolSanitizer(Sanitizer):
         self._open_banks: dict[str, set[int]] = {}
 
     def observe(self, record: TraceRecord) -> None:
+        fields = record.fields
         # ``owner_of`` inlined: this observe runs for every bus command.
-        owner = str(record.fields.get("owner", "?"))
+        owner = str(fields.get("owner", "?"))
         category = record.category
         # Dispatched most-frequent-first: bus commands outnumber DMA
         # records, which outnumber CP mailbox traffic.  The branches are
         # mutually exclusive on ``category``, so order is behaviour-free.
         if category == "ddr.cmd":
-            kind = str(record.fields.get("kind", "?"))
-            bank = record.fields.get("bank")
+            kind = str(fields.get("kind", "?"))
+            bank = fields.get("bank")
             open_banks = self._open_banks.setdefault(owner, set())
             if kind == "ACT" and bank is not None:
                 open_banks.add(int(bank))
@@ -321,9 +328,9 @@ class ProtocolSanitizer(Sanitizer):
                     record=record, banks=sorted(open_banks))
                 open_banks.clear()
         elif category == "nvmc.dma":
-            window = int(record.fields["window"])
-            nbytes = int(record.fields["bytes"])
-            budget = int(record.fields["budget"])
+            window = int(fields["window"])
+            nbytes = int(fields["bytes"])
+            budget = int(fields["budget"])
             windows = self._windows.get(owner)
             if windows is None:
                 windows = self._windows[owner] = _WindowFIFO()
@@ -340,7 +347,7 @@ class ProtocolSanitizer(Sanitizer):
                     record=record, window=window, total=total,
                     budget=budget)
             cmds = entry[1]
-            cmds.add(int(record.fields.get("cmd", 0)))
+            cmds.add(int(fields.get("cmd", 0)))
             depth = self._depth.get(owner, 1)
             if len(cmds) > depth:
                 self.violation(
@@ -351,7 +358,7 @@ class ProtocolSanitizer(Sanitizer):
                     record=record, window=window, commands=sorted(cmds),
                     depth=depth)
         elif category == "cp.post":
-            depth = int(record.fields.get("depth", 1))
+            depth = int(fields.get("depth", 1))
             self._depth[owner] = depth
             outstanding = self._outstanding.get(owner, 0) + 1
             self._outstanding[owner] = outstanding
@@ -409,13 +416,17 @@ class ScrubSanitizer(Sanitizer):
         self._dma_windows: dict[str, _WindowFIFO] = {}
 
     def observe(self, record: TraceRecord) -> None:
-        if record.category == "health.scrub":
-            owner = str(record.fields.get("owner", "?"))
-            window = int(record.fields["window"])
-            win_start = int(record.fields["win_start"])
-            win_end = int(record.fields["win_end"])
-            start = int(record.fields["start_ps"])
-            end = int(record.fields["end_ps"])
+        category = record.category
+        if category != "health.scrub" and category != "nvmc.dma":
+            return
+        fields = record.fields
+        owner = str(fields.get("owner", "?"))
+        window = int(fields["window"])
+        if category == "health.scrub":
+            win_start = int(fields["win_start"])
+            win_end = int(fields["win_end"])
+            start = int(fields["start_ps"])
+            end = int(fields["end_ps"])
             if start < win_start or end > win_end:
                 self.violation(
                     "scrub-window-escape",
@@ -430,9 +441,7 @@ class ScrubSanitizer(Sanitizer):
                     "already used it",
                     record=record, window=window)
             self._remember(self._scrub_windows, owner, window)
-        elif record.category == "nvmc.dma":
-            owner = str(record.fields.get("owner", "?"))
-            window = int(record.fields["window"])
+        else:
             if window in self._scrub_windows.get(owner, ()):
                 self.violation(
                     "scrub-collision",

@@ -9,10 +9,13 @@ full tables slow.  A hypothesis property feeds random multi-owner
 ``nvmc.dma``, ``health.scrub``, ``cp.post`` and ``cp.ack`` streams to
 both through one tracer, with ``WINDOW_MEMORY`` shrunk so pruning fires
 and pruned windows come back, and requires the same violations: rule,
-message, details, record, context and order.
+message, details, record, context and order, also across a snapshot
+round trip part-way through the stream.
 """
 
 from __future__ import annotations
+
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,11 +263,12 @@ def seen(suite: SanitizerSuite) -> list[tuple]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(events=EVENTS, memory=st.integers(1, 4))
-def test_pruned_tables_match_dict_fifo_oracles(events, memory):
+@given(events=EVENTS, memory=st.integers(1, 4), split=st.floats(0, 1))
+def test_pruned_tables_match_dict_fifo_oracles(events, memory, split):
     fast = [live.ProtocolSanitizer(), live.ScrubSanitizer()]
     oracle = [ProtocolSanitizer(), ScrubSanitizer()]
-    for sanitizer in fast + oracle:
+    resumed = [live.ProtocolSanitizer(), live.ScrubSanitizer()]
+    for sanitizer in fast + oracle + resumed:
         sanitizer.WINDOW_MEMORY = memory
     tracer = Tracer(enabled=True)
     fast_suite = SanitizerSuite(fast).attach(tracer)
@@ -274,6 +278,26 @@ def test_pruned_tables_match_dict_fifo_oracles(events, memory):
     fast_suite.detach()
     oracle_suite.detach()
     assert seen(fast_suite) == seen(oracle_suite)
+
+    # The same stream with a snapshot round trip part-way through (a
+    # snapshot carries the tables; see _WindowFIFO.__reduce__).
+    half = round(split * len(tracer.records))
+    for record in tracer.records[:half]:
+        for sanitizer in resumed:
+            sanitizer.observe(record)
+    # Violations are exceptions, which do not pickle; set them aside.
+    earlier = [sanitizer.violations for sanitizer in resumed]
+    for sanitizer in resumed:
+        sanitizer.violations = []
+    resumed = pickle.loads(pickle.dumps(resumed))
+    for sanitizer, violations in zip(resumed, earlier):
+        sanitizer.violations[:0] = violations
+    for record in tracer.records[half:]:
+        for sanitizer in resumed:
+            sanitizer.observe(record)
+    assert [(str(v), v.details, str(v.record))
+            for sanitizer in resumed for v in sanitizer.violations] == \
+        [(str(v), v.details, str(v.record)) for v in fast_suite.violations]
 
 
 def test_revisited_pruned_window_starts_a_fresh_budget():
