@@ -196,12 +196,14 @@ class CoherenceSanitizer(Sanitizer):
         self._last_fill_record: dict[str, TraceRecord] = {}
 
     def observe(self, record: TraceRecord) -> None:
-        owner = str(record.fields.get("owner", "?"))   # owner_of, inlined
         category = record.category
         if category == "nvdc.attach":
             if record.fields.get("coherent"):
-                self._active.add(owner)
+                self._active.add(str(record.fields.get("owner", "?")))
             return
+        if not self._active:
+            return   # no coherent driver attached: nothing to check
+        owner = str(record.fields.get("owner", "?"))   # owner_of, inlined
         if owner not in self._active:
             return
         if category == "nvdc.dirty":
@@ -484,9 +486,7 @@ class TimeSanitizer(Sanitizer):
 
     def observe(self, record: TraceRecord) -> None:
         t = record.time_ps
-        # ``type(t) is int`` is the common case and passes the rule.
-        if type(t) is not int and (not isinstance(t, int)
-                                   or isinstance(t, bool)):
+        if not isinstance(t, int) or isinstance(t, bool):
             self.violation(
                 "non-integer-time",
                 f"record {record.category} carries non-integer time "
