@@ -59,14 +59,18 @@ class DRAMDevice(SnapshotMixin):
 
     def decode(self, addr: int) -> AddressParts:
         """Flat byte address -> (bank, row, column byte offset)."""
+        (bank, row), column_byte = self._split(addr)
+        return AddressParts(bank=bank, row=row, column_byte=column_byte)
+
+    def _split(self, addr: int) -> tuple[tuple[int, int], int]:
+        """Flat byte address -> ((bank, row) row key, column byte)."""
         if not 0 <= addr < self.capacity_bytes:
             raise ProtocolError(
                 f"{self.name}: address {addr:#x} out of range "
                 f"(capacity {self.capacity_bytes:#x})")
         row_global, column_byte = divmod(addr, self.spec.row_size_bytes)
-        bank = row_global % self.spec.total_banks
-        row = row_global // self.spec.total_banks
-        return AddressParts(bank=bank, row=row, column_byte=column_byte)
+        banks = self.spec.total_banks
+        return (row_global % banks, row_global // banks), column_byte
 
     # -- command execution -----------------------------------------------------
 
@@ -190,29 +194,31 @@ class DRAMDevice(SnapshotMixin):
     # -- backdoor access (verification / power-failure drain) ---------------------
 
     def peek(self, addr: int, nbytes: int) -> bytes:
-        """Read bytes bypassing the protocol (test/verification aid)."""
-        out = bytearray()
+        """Read bytes bypassing the protocol (test/verification aid).
+
+        One address split per row touched, so a range inside one row
+        (a cache slot, a CPU-cache line) costs a single split.
+        """
+        row_size = self.spec.row_size_bytes
+        pieces: list[bytes] = []
         while nbytes > 0:
-            parts = self.decode(addr)
-            buf = self._rows.get((parts.bank, parts.row))
-            chunk = min(nbytes, self.spec.row_size_bytes - parts.column_byte)
-            if buf is None:
-                out.extend(b"\x00" * chunk)
-            else:
-                out.extend(buf[parts.column_byte:parts.column_byte + chunk])
+            key, column = self._split(addr)
+            chunk = min(nbytes, row_size - column)
+            buf = self._rows.get(key)
+            pieces.append(bytes(chunk) if buf is None
+                          else bytes(buf[column:column + chunk]))
             addr += chunk
             nbytes -= chunk
-        return bytes(out)
+        return b"".join(pieces)
 
     def poke(self, addr: int, data: bytes) -> None:
         """Write bytes bypassing the protocol (test/initialisation aid)."""
+        row_size = self.spec.row_size_bytes
         offset = 0
         while offset < len(data):
-            parts = self.decode(addr + offset)
-            buf = self._row_buffer(parts.bank, parts.row)
-            chunk = min(len(data) - offset,
-                        self.spec.row_size_bytes - parts.column_byte)
-            buf[parts.column_byte:parts.column_byte + chunk] = (
+            (bank, row), column = self._split(addr + offset)
+            chunk = min(len(data) - offset, row_size - column)
+            self._row_buffer(bank, row)[column:column + chunk] = (
                 data[offset:offset + chunk])
             offset += chunk
 

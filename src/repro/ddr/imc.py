@@ -22,8 +22,8 @@ that defines the platform persistence domain in §V-C.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from repro.ddr.bus import SharedBus
 from repro.ddr.controller import DDR4Controller
@@ -34,8 +34,7 @@ from repro.sim.snapshot import SnapshotMixin
 from repro.sim.trace import Tracer, default_tracer, next_owner
 
 
-@dataclass(frozen=True)
-class RefreshWindow:
+class RefreshWindow(NamedTuple):
     """One device-access opportunity behind a REFRESH command."""
 
     index: int

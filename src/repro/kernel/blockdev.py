@@ -15,7 +15,7 @@ device sector (aligned to 512 bytes) number to the NAND page
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import KernelError
 from repro.units import PAGE_4K
@@ -33,8 +33,7 @@ def page_to_sector(page: int) -> int:
     return page * SECTORS_PER_PAGE
 
 
-@dataclass(frozen=True)
-class DaxMapping:
+class DaxMapping(NamedTuple):
     """Result of ``device_access``: where the block lives right now."""
 
     pfn: int                 # page frame number of the backing DRAM page

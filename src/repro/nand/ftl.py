@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import (DegradedModeError, FTLError, MediaError,
                           PowerLossInterrupt)
@@ -42,8 +43,7 @@ from repro.nand.spec import ZNANDSpec
 from repro.sim.snapshot import SnapshotMixin
 
 
-@dataclass(frozen=True)
-class PPA:
+class PPA(NamedTuple):
     """Physical page address."""
 
     die: int
@@ -52,16 +52,14 @@ class PPA:
     page: int
 
 
-@dataclass(frozen=True)
-class PhysOp:
+class PhysOp(NamedTuple):
     """One physical NAND operation, for timing accounting."""
 
     kind: str      # "read" | "program" | "erase"
     die: int
 
 
-@dataclass(frozen=True, slots=True)
-class OOB:
+class OOB(NamedTuple):
     """Out-of-band (spare-area) stamp programmed alongside every page.
 
     ``seq`` is a module-wide monotonic program counter: among multiple
@@ -78,8 +76,8 @@ class OOB:
 
     def __reduce__(self):
         # Thousands of stamps live in a mid-run snapshot; rebuilding
-        # through the constructor beats the generic slots-dataclass
-        # state protocol (which walks dataclasses.fields per object).
+        # through the constructor beats the generic named-tuple path
+        # (``copyreg.__reduce_ex__`` plus ``__getnewargs__`` per stamp).
         return (OOB, (self.lpn, self.seq, self.crc, self.kind))
 
 

@@ -22,7 +22,7 @@ supported"); the model implements a configurable queue depth so the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CPProtocolError
 from repro.units import CACHELINE, PAGE_4K
@@ -52,9 +52,23 @@ _SLOT_SHIFT = 28
 _SLOT_MASK = (1 << 28) - 1
 _PAGE_MASK = (1 << 28) - 1
 
+#: Trace-field names indexed by the enum value (``Enum.name`` is a
+#: descriptor call per read; the CP exchange fills several per op).
+OPCODE_NAMES: tuple[str, ...] = tuple(Opcode(value).name
+                                      for value in range(len(Opcode)))
+PHASE_NAMES: tuple[str, ...] = tuple(Phase(value).name
+                                     for value in range(len(Phase)))
 
-@dataclass(frozen=True)
-class CPCommand:
+
+def _phase(nibble: int) -> Phase:
+    """The :class:`Phase` of a decoded 4-bit phase field."""
+    try:
+        return Phase(nibble)
+    except ValueError as exc:
+        raise CPProtocolError(f"unknown phase {nibble}") from exc
+
+
+class CPCommand(NamedTuple):
     """A decoded CP command."""
 
     phase: Phase
@@ -82,7 +96,7 @@ class CPCommand:
     @staticmethod
     def decode(word: int) -> "CPCommand":
         """Unpack a 64-bit CP word."""
-        phase = Phase((word >> _PHASE_SHIFT) & 0xF)
+        phase = _phase((word >> _PHASE_SHIFT) & 0xF)
         opcode_bits = (word >> _OPCODE_SHIFT) & 0xF
         try:
             opcode = Opcode(opcode_bits)
@@ -93,8 +107,12 @@ class CPCommand:
                          nand_page=word & _PAGE_MASK)
 
 
-@dataclass(frozen=True)
-class CPAck:
+def ack_word(phase: int, status: int) -> int:
+    """The ack-area word publishing ``status`` for a ``phase`` command."""
+    return (phase << 4) | (status & 0xF)
+
+
+class CPAck(NamedTuple):
     """Device acknowledgement: echoes the phase, carries a status."""
 
     phase: Phase
@@ -111,11 +129,17 @@ class CPAck:
     DEGRADED = 3
 
     def encode(self) -> int:
-        return (int(self.phase) << 4) | (self.status & 0xF)
+        return ack_word(self.phase, self.status)
 
     @staticmethod
     def decode(word: int) -> "CPAck":
-        return CPAck(phase=Phase((word >> 4) & 0xF), status=word & 0xF)
+        return CPAck(phase=_phase((word >> 4) & 0xF), status=word & 0xF)
+
+
+#: Every well-formed ack word (phase bit, 4-bit status) decoded once:
+#: ``poll_ack`` hands these out instead of decoding per poll.
+_ACKS: tuple[CPAck, ...] = tuple(CPAck.decode(word)
+                                 for word in range(len(Phase) << 4))
 
 
 class CPArea:
@@ -139,9 +163,10 @@ class CPArea:
     def post(self, slot: int, command: CPCommand) -> None:
         """Driver side: write a command word (after cache flush)."""
         self._check_slot(slot)
-        previous = CPCommand.decode(self._commands[slot]) \
-            if self._commands[slot] else None
-        if previous is not None and previous.phase == command.phase:
+        # Stored words all came from ``encode``: their phase bits are
+        # the previous command's phase.
+        previous = self._commands[slot]
+        if previous and previous >> _PHASE_SHIFT == command.phase:
             raise CPProtocolError(
                 "phase did not toggle; device cannot see a new command")
         self._commands[slot] = command.encode()
@@ -161,8 +186,12 @@ class CPArea:
 
     def ack(self, slot: int, ack: CPAck) -> None:
         """Device side: publish completion status."""
+        self.publish_ack(slot, ack.encode())
+
+    def publish_ack(self, slot: int, word: int) -> None:
+        """Device side: write an encoded ack word (see :func:`ack_word`)."""
         self._check_slot(slot)
-        self._acks[slot] = ack.encode()
+        self._acks[slot] = word
 
     def clear_ack(self, slot: int) -> None:
         """Driver side: poison the ack word before re-posting a command.
@@ -182,7 +211,8 @@ class CPArea:
         word = self._acks[slot]
         if word is None:
             return None
-        decoded = CPAck.decode(word)
+        decoded = (_ACKS[word] if 0 <= word < len(_ACKS)
+                   else CPAck.decode(word))
         if decoded.phase != phase:
             return None
         return decoded

@@ -25,15 +25,15 @@ any bookkeeping bug.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from repro.ddr.device import DRAMDevice
 from repro.ddr.imc import RefreshTimeline, RefreshWindow
 from repro.errors import (CPProtocolError, DegradedModeError,
                           FaultInjectionError, MediaError)
 from repro.nand.controller import NANDController
-from repro.nvmc.cp import CPAck, CPArea, CPCommand, Opcode, Phase
+from repro.nvmc.cp import (OPCODE_NAMES, PHASE_NAMES, CPAck, CPArea,
+                           CPCommand, Opcode, Phase, ack_word)
 from repro.nvmc.dma import DMAEngine
 from repro.nvmc.fsm import FirmwareModel, FSMTracker, NVMCState
 from repro.sim.snapshot import SnapshotMixin
@@ -47,8 +47,7 @@ _DONE = MessageTemplate("{opcode} done")
 _MOVED = MessageTemplate("{kind} {bytes}B in window {window}")
 
 
-@dataclass(frozen=True)
-class OperationResult:
+class OperationResult(NamedTuple):
     """Timing summary of one completed CP command."""
 
     opcode: Opcode
@@ -214,11 +213,12 @@ class NVMCModel(SnapshotMixin):
         self.cp.post(slot, command)
         self._cmd_seq += 1
         cmd_id = self._cmd_seq
+        opcode_name = OPCODE_NAMES[command.opcode]
         if self.tracer.enabled:
             self.tracer.emit(submit_ps, "cp.post", _POSTED,
                              owner=self.trace_owner, cmd=cmd_id, slot=slot,
-                             opcode=command.opcode.name,
-                             phase=command.phase.name,
+                             opcode=opcode_name,
+                             phase=PHASE_NAMES[command.phase],
                              depth=self.cp.queue_depth)
         start = max(submit_ps, self.ready_ps)
         fault = (self.faults.pull_command_fault()
@@ -252,9 +252,9 @@ class NVMCModel(SnapshotMixin):
             raise CPProtocolError(f"unsupported opcode {command.opcode}")
         if fault is not None and self.tracer.enabled:
             self.tracer.emit(result.completion_ps, "cp.fault",
-                             f"{command.opcode.name} corrupted ({fault})",
+                             f"{opcode_name} corrupted ({fault})",
                              owner=self.trace_owner, cmd=cmd_id, slot=slot,
-                             opcode=command.opcode.name, mode=fault)
+                             opcode=opcode_name, mode=fault)
         if result.status != self.NO_ACK:
             dropped = (self.faults.pull_ack_drop()
                        if self.faults is not None else False)
@@ -263,18 +263,18 @@ class NVMCModel(SnapshotMixin):
                 # flight: the driver times out and re-issues.
                 if self.tracer.enabled:
                     self.tracer.emit(result.completion_ps, "cp.fault",
-                                     f"{command.opcode.name} ack dropped",
+                                     f"{opcode_name} ack dropped",
                                      owner=self.trace_owner, cmd=cmd_id,
-                                     slot=slot, opcode=command.opcode.name,
+                                     slot=slot, opcode=opcode_name,
                                      mode="ack-drop")
             else:
-                self.cp.ack(slot, CPAck(phase=command.phase,
-                                        status=result.status))
+                self.cp.publish_ack(slot, ack_word(command.phase,
+                                                   result.status))
                 if self.tracer.enabled:
                     self.tracer.emit(result.completion_ps, "cp.ack", _DONE,
                                      owner=self.trace_owner, cmd=cmd_id,
-                                     slot=slot, opcode=command.opcode.name,
-                                     phase=command.phase.name,
+                                     slot=slot, opcode=opcode_name,
+                                     phase=PHASE_NAMES[command.phase],
                                      status=result.status)
         self.ready_ps = result.completion_ps
         return result
@@ -462,7 +462,8 @@ class NVMCModel(SnapshotMixin):
         windows_used = 0
         end = window.start_ps
         while True:
-            self._clock(window.start_ps, f"nvmc.dma.{kind}")
+            if self.fault_clock is not None:
+                self._clock(window.start_ps, f"nvmc.dma.{kind}")
             shortfall = 0
             if self.faults is not None and kind in ("fill", "evict"):
                 shortfall = self.faults.pull_dma_shortfall()

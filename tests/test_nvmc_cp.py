@@ -30,6 +30,31 @@ class TestEncoding:
         with pytest.raises(CPProtocolError):
             CPCommand.decode(0xF << 56)
 
+    @pytest.mark.parametrize("nibble", [2, 7, 0xF])
+    def test_malformed_command_phase_rejected_on_decode(self, nibble):
+        with pytest.raises(CPProtocolError, match=f"unknown phase {nibble}"):
+            CPCommand.decode(nibble << 60)
+
+    @pytest.mark.parametrize("nibble", [2, 7, 0xF])
+    def test_malformed_ack_phase_rejected_on_decode(self, nibble):
+        with pytest.raises(CPProtocolError, match=f"unknown phase {nibble}"):
+            CPAck.decode((nibble << 4) | CPAck.OK)
+
+    def test_malformed_ack_word_rejected_on_poll(self):
+        area = CPArea()
+        area.publish_ack(0, 0x25)
+        with pytest.raises(CPProtocolError, match="unknown phase 2"):
+            area.poll_ack(0, Phase.ODD)
+
+    def test_polled_acks_equal_decoded_words(self):
+        area = CPArea()
+        for phase in Phase:
+            for status in range(16):
+                area.ack(0, CPAck(phase=phase, status=status))
+                ack = area.poll_ack(0, phase)
+                assert ack == CPAck.decode((phase << 4) | status)
+                assert (ack.phase, ack.status) == (phase, status)
+
     @given(st.sampled_from(list(Opcode)), st.integers(0, (1 << 28) - 1),
            st.integers(0, (1 << 28) - 1))
     def test_round_trip_property(self, opcode, slot, page):
