@@ -11,7 +11,8 @@ Modes:
   extraction with producer/consumer cross-checks (REPRO011/012),
   crash-safety dataflow rules (REPRO006/007) and determinism rules
   (REPRO008/009/010).  ``--format json`` emits a machine-readable
-  report; ``--baseline FILE`` suppresses previously accepted findings
+  report, checked against ``xstatic.SHAPE`` first (a problem exits 2);
+  ``--baseline FILE`` suppresses previously accepted findings
   (``--write-baseline`` records the current findings into it); the
   exit status is non-zero only for non-baselined findings.
   ``--registry-out FILE`` writes the generated registry markdown
@@ -61,10 +62,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_static(args: argparse.Namespace) -> int:
-    from repro.check.xstatic import (analyze_tree, load_baseline,
+    from repro.check.xstatic import (SHAPE, analyze_tree, load_baseline,
                                      render_baseline,
                                      render_registry_markdown,
                                      split_by_baseline)
+    from repro.report import check
     root = Path(args.root) if args.root else _package_root()
     if not root.is_dir():
         print(f"repro check --static: no such package tree: {root}",
@@ -104,7 +106,13 @@ def cmd_static(args: argparse.Namespace) -> int:
             "baselined": len(baselined),
             "new": len(new),
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        problems = check(SHAPE, json.loads(text))
+        if problems:
+            for problem in problems:
+                print(f"report schema problem: {problem}", file=sys.stderr)
+            return 2
+        print(text)
     else:
         for finding in new:
             print(finding)

@@ -457,6 +457,26 @@ def test_cli_static_json_format(tmp_path, capsys):
     assert payload["findings"][0]["baselined"] is False
 
 
+def test_cli_static_json_is_checked_against_its_shape(tmp_path, capsys,
+                                                      monkeypatch):
+    from repro.check import xstatic
+    to_dict = xstatic.StaticReport.to_dict
+
+    def without_registry(self):
+        payload = to_dict(self)
+        del payload["registry"]
+        return payload
+
+    monkeypatch.setattr(xstatic.StaticReport, "to_dict", without_registry)
+    root = _fixture_root(tmp_path)
+    assert check_main(["--static", "--root", str(root),
+                       "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("report schema problem: missing report keys: ['registry']"
+            in captured.err)
+
+
 def test_cli_baseline_write_then_compare(tmp_path, capsys):
     root = _fixture_root(tmp_path)
     baseline = tmp_path / "static.json"
