@@ -49,7 +49,7 @@ from repro.sim.trace import (MessageTemplate, Tracer, default_tracer,
                              next_owner)
 from repro.units import CACHELINE, PAGE_4K, kb, mb, us
 
-# -- the parent implementation, verbatim -------------------------------------
+# -- the replaced implementation, verbatim: the oracle ------------------------
 
 _PHASE_SHIFT = 60
 _OPCODE_SHIFT = 56
@@ -576,8 +576,8 @@ class RefreshWindow:
         return self.end_ps - self.start_ps
 
 
-class ParentTimeline(RefreshTimeline):
-    """The live timeline with the parent's ``next_window``."""
+class OracleTimeline(RefreshTimeline):
+    """The live timeline with the replaced ``next_window``."""
 
     def next_window(self, time_ps: int) -> RefreshWindow:
         """First window whose usable interval starts at or after ``time_ps``.
@@ -599,8 +599,8 @@ class ParentTimeline(RefreshTimeline):
                              ref + self.trfc_programmed_ps)
 
 
-class ParentDRAM(DRAMDevice):
-    """The live device with the parent's address decode and backdoor
+class OracleDRAM(DRAMDevice):
+    """The live device with the replaced address decode and backdoor
     access."""
 
     def decode(self, addr: int) -> AddressParts:
@@ -642,7 +642,7 @@ class ParentDRAM(DRAMDevice):
             offset += chunk
 
 
-# -- the property -------------------------------------------------------------
+# -- the properties -----------------------------------------------------------
 
 SPEC = NVDIMMC_1600
 SLOTS = 6
@@ -788,10 +788,10 @@ _OPS = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(_OPS, min_size=1, max_size=14), faults=st.booleans(),
        clocked=st.booleans())
-def test_cp_exchange_matches_parent(ops, faults, clocked):
+def test_cp_exchange_matches_oracle(ops, faults, clocked):
     new = _side(live.NVMCModel, RefreshTimeline, DRAMDevice,
                 live_cp.CPCommand, faults, clocked)
-    old = _side(NVMCModel, ParentTimeline, ParentDRAM, CPCommand, faults,
+    old = _side(NVMCModel, OracleTimeline, OracleDRAM, CPCommand, faults,
                 clocked)
     t = 0
     for op in ops:
@@ -804,23 +804,23 @@ def test_cp_exchange_matches_parent(ops, faults, clocked):
 @settings(max_examples=200, deadline=None)
 @given(time_ps=st.integers(0, 10**9), offset_ps=st.integers(0, 10**7),
        trfc_ns=st.sampled_from((350, 550, 1250)))
-def test_next_window_matches_parent(time_ps, offset_ps, trfc_ns):
+def test_next_window_matches_oracle(time_ps, offset_ps, trfc_ns):
     spec = SPEC.with_extended_trfc(trfc_ns * 1000)
     window = RefreshTimeline(spec, offset_ps).next_window(time_ps)
-    parent = ParentTimeline(spec, offset_ps).next_window(time_ps)
+    oracle = OracleTimeline(spec, offset_ps).next_window(time_ps)
     assert isinstance(window, live_imc.RefreshWindow)
-    assert tuple(window) == astuple(parent)
-    assert repr(window) == repr(parent)
-    assert window.duration_ps == parent.duration_ps
+    assert tuple(window) == astuple(oracle)
+    assert repr(window) == repr(oracle)
+    assert window.duration_ps == oracle.duration_ps
 
 
 @settings(max_examples=100, deadline=None)
 @given(addr=st.integers(0, mb(1) - 1), nbytes=st.integers(0, 3 * 8192),
        fill=st.binary(min_size=1, max_size=64))
-def test_peek_poke_match_parent(addr, nbytes, fill):
+def test_peek_poke_match_oracle(addr, nbytes, fill):
     nbytes = min(nbytes, mb(1) - addr)
     data = (fill * (nbytes // len(fill) + 1))[:nbytes]
-    new, old = DRAMDevice(SPEC, mb(1)), ParentDRAM(SPEC, mb(1))
+    new, old = DRAMDevice(SPEC, mb(1)), OracleDRAM(SPEC, mb(1))
     new.poke(addr, data)
     old.poke(addr, data)
     assert new._rows == old._rows
@@ -830,8 +830,8 @@ def test_peek_poke_match_parent(addr, nbytes, fill):
     assert new.decode(addr) == old.decode(addr)
 
 
-def test_out_of_range_backdoor_access_matches_parent():
-    for device in (DRAMDevice(SPEC, mb(1)), ParentDRAM(SPEC, mb(1))):
+def test_out_of_range_backdoor_access_matches_oracle():
+    for device in (DRAMDevice(SPEC, mb(1)), OracleDRAM(SPEC, mb(1))):
         for call in (lambda: device.peek(mb(1), 1),
                      lambda: device.poke(mb(1) - 1, b"xy"),
                      lambda: device.peek(-1, 1)):
