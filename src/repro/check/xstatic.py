@@ -1013,9 +1013,9 @@ class _Extractor(ast.NodeVisitor):
         """Emit the snapshot-coverage findings once the module is read.
 
         Runs after the whole tree is visited so class-attribute
-        mutations (``Engine.total_events_executed += 1``) and
-        ``global`` rebinds seen anywhere in the module can anchor their
-        finding at the binding's definition site.
+        mutations (``Cls.counter += 1``) and ``global`` rebinds seen
+        anywhere in the module can anchor their finding at the
+        binding's definition site.
         """
         for (cls, attr), _node in sorted(self._class_attr_mutations.items()):
             site = self._snapshot_class_attrs.get(cls, {}).get(attr)

@@ -6,9 +6,6 @@ Commands:
   print their paper-vs-measured records; ``--jobs N|auto`` fans them
   out over worker processes.
 * ``report`` — regenerate EXPERIMENTS.md.
-* ``bench`` — time each experiment and write ``BENCH_<timestamp>.json``
-  (wall-clock, engine events, events/sec), comparing against the
-  previous BENCH file or a ``--baseline``.
 * ``tables`` — render the static tables (Table I/II, design space,
   arbitration and variant comparisons).
 * ``fio`` — an ad-hoc FIO run against a chosen device tier.
@@ -45,14 +42,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ConfigError
+
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_all
-    try:
-        run_all(only=args.ids or None, jobs=args.jobs)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    run_all(only=args.ids or None, jobs=args.jobs)
     return 0
 
 
@@ -60,11 +55,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.runner import main as report_main
     report_main(["--jobs", str(args.jobs)])
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import main as bench_main
-    return bench_main(args)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -131,23 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes: an integer or 'auto'")
     p_rep.set_defaults(fn=_cmd_report)
 
-    p_bench = sub.add_parser(
-        "bench", help="time the experiments and write a BENCH json")
-    p_bench.add_argument("ids", nargs="*",
-                         help="experiment ids (default: all)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="run the 3-experiment smoke subset")
-    p_bench.add_argument("--out", default=".",
-                         help="directory for BENCH_<timestamp>.json")
-    p_bench.add_argument("--baseline", default=None,
-                         help="baseline BENCH json to compare against "
-                              "(overrides the most recent BENCH file)")
-    p_bench.add_argument("--max-regression", type=float, default=None,
-                         metavar="RATIO",
-                         help="fail (exit 1) if any experiment's "
-                              "wall-clock exceeds baseline * RATIO")
-    p_bench.set_defaults(fn=_cmd_bench)
-
     p_tab = sub.add_parser("tables", help="render the static tables")
     p_tab.set_defaults(fn=_cmd_tables)
 
@@ -183,9 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a :class:`~repro.errors.ConfigError` it raises
+    is a usage error (2), reported on stderr without a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

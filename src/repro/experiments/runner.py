@@ -12,6 +12,7 @@ import time
 from typing import Callable
 
 from repro.analysis.results import ExperimentRecord
+from repro.errors import ConfigError
 from repro.util import resolve_jobs  # noqa: F401  (re-export: long-time home)
 from repro.experiments import (ablations, arbitration_compare,
                                channel_isolation, dax_motivation,
@@ -71,12 +72,12 @@ def run_all(only: list[str] | None = None,
     independent and deterministic); records come back in declaration
     order regardless of completion order, so serial and parallel runs
     produce identical output.  Unknown ids in ``only`` raise
-    :class:`ValueError` naming the valid ids.
+    :class:`~repro.errors.ConfigError` naming the valid ids.
     """
     if only is not None:
         unknown = sorted(set(only) - set(ALL_EXPERIMENTS))
         if unknown:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown experiment ids: {unknown}; "
                 f"valid ids: {sorted(ALL_EXPERIMENTS)}")
     ids = [exp_id for exp_id in ALL_EXPERIMENTS

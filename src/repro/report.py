@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from repro.errors import ConfigError
-
 Problems = list[str]
 
 
@@ -185,18 +183,15 @@ def write_and_gate(kind: str, shape: Any, out: str,
     """Run one harness and gate on its result; the CLI exit status.
 
     ``run`` builds the configuration, prints the banner and returns the
-    result; a :class:`~repro.errors.ConfigError` from it is a usage
-    error (2).  The report is checked against ``shape`` (a problem is a
-    tooling bug: 2, nothing written), written to
-    ``out/KIND_<timestamp>.json``, then ``summary`` prints the summary
-    lines and returns the line printed when every gate passes (0).
-    Each failed gate prints its line to stderr (1).
+    result; a :class:`~repro.errors.ConfigError` from it propagates to
+    :func:`repro.cli.main`, which makes it a usage error (2).  The
+    report is checked against ``shape`` (a problem is a tooling bug: 2,
+    nothing written), written to ``out/KIND_<timestamp>.json``, then
+    ``summary`` prints the summary lines and returns the line printed
+    when every gate passes (0).  Each failed gate prints its line to
+    stderr (1).
     """
-    try:
-        result = run()
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = run()
     timestamp = time.strftime("%Y%m%d-%H%M%S")
     text = render_report(result, timestamp=timestamp)
     problems = check(shape, json.loads(text))

@@ -43,11 +43,6 @@ class Engine(SnapshotMixin):
     [50, 100]
     """
 
-    #: Events executed by *every* engine in this process.  The perf
-    #: bench harness snapshots this around an experiment to report
-    #: events/sec without threading a counter through model layers.
-    total_events_executed: int = 0
-
     def __init__(self) -> None:
         self._now = 0
         self._heap: list[tuple[int, int, Callback]] = []
@@ -162,7 +157,6 @@ class Engine(SnapshotMixin):
         time_ps, _seq, callback = heapq.heappop(self._heap)
         self._now = time_ps
         self.events_executed += 1
-        Engine.total_events_executed += 1
         callback()
         return True
 
@@ -207,7 +201,6 @@ class Engine(SnapshotMixin):
         finally:
             self._running = False
             self.events_executed += executed
-            Engine.total_events_executed += executed
         if until is not None and self._now < until:
             self._now = until
 

@@ -35,10 +35,10 @@ callbacks either convert them to small callable classes (see
 What is deliberately *not* captured
 -----------------------------------
 
-Process-wide meters and registries — ``Engine.total_events_executed``,
-``TraceMeter`` counters, the ambient default tracer, the owner-token
-counter — are observability plumbing shared by every simulation in the
-process; restoring them from a fork would corrupt concurrent runs.
+Process-wide meters and registries — ``TraceMeter`` counters, the
+ambient default tracer, the owner-token counter — are observability
+plumbing shared by every simulation in the process; restoring them from
+a fork would corrupt concurrent runs.
 REPRO013 (``repro.check.xstatic``) flags such state so every exemption
 is an explicit, baselined decision.
 """

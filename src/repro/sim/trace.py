@@ -104,7 +104,7 @@ class TraceRecord:
 
 
 class _TraceMeter:
-    """Process-wide trace counters for the perf bench harness.
+    """Process-wide trace counters, read by the perfbench work counters.
 
     ``records_emitted`` counts every record that passed the enabled /
     category filters (whether or not retention kept it);

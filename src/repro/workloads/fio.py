@@ -43,9 +43,12 @@ class FIOJob:
         if self.rw not in RW_PATTERNS:
             raise ConfigError(f"unknown rw pattern {self.rw!r}")
         if self.bs <= 0 or self.bs > self.size:
-            raise ConfigError("block size must be in (0, size]")
-        if self.numjobs < 1 or self.nops < 1:
-            raise ConfigError("numjobs and nops must be positive")
+            raise ConfigError(
+                f"block size must be in (0, {self.size}], got {self.bs}")
+        if self.numjobs < 1:
+            raise ConfigError(f"numjobs must be >= 1, got {self.numjobs}")
+        if self.nops < 1:
+            raise ConfigError(f"nops must be >= 1, got {self.nops}")
 
     @property
     def is_random(self) -> bool:

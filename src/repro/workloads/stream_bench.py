@@ -23,6 +23,7 @@ from repro.ddr.bus import SharedBus
 from repro.ddr.device import DRAMDevice
 from repro.ddr.imc import IntegratedMemoryController
 from repro.ddr.spec import DDR4Spec, NVDIMMC_1600
+from repro.errors import ConfigError
 from repro.nvmc.agent import NVMCProtocolAgent
 from repro.sim import Engine
 from repro.units import PAGE_4K, us
@@ -58,7 +59,11 @@ def run_stream_validation(iterations: int = 3,
     cache; the host iMC moves every element through real DDR4 command
     sequences while the agent writes/reads scratch pages during refresh
     windows.  Everything is checked against a NumPy reference.
+    ``iterations`` below 1 raises :class:`~repro.errors.ConfigError`:
+    a run that checks nothing cannot come out clean.
     """
+    if iterations < 1:
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
     rng = np.random.default_rng(seed)
     engine = Engine()
     device = DRAMDevice(spec, capacity_bytes=64 * 1024 * 1024)

@@ -31,14 +31,6 @@ class TestParser:
         args = build_parser().parse_args(["report", "--jobs", "4"])
         assert args.jobs == "4"
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.ids == []
-        assert args.quick is False
-        assert args.out == "."
-        assert args.baseline is None
-        assert args.max_regression is None
-
 
 class TestCommands:
     def test_tables(self, capsys):
@@ -72,41 +64,31 @@ class TestCommands:
         assert "2 workers" in capsys.readouterr().out
 
 
-class TestBench:
-    def test_bench_writes_file_and_compares(self, tmp_path, capsys):
-        out_dir = str(tmp_path)
-        assert main(["bench", "fig12", "--out", out_dir]) == 0
-        first = capsys.readouterr().out
-        assert "wrote" in first
-        assert "no prior BENCH file" in first
-        # Second run finds the first as implicit baseline and gates on it.
-        assert main(["bench", "fig12", "--out", out_dir,
-                     "--max-regression", "1000"]) == 0
-        second = capsys.readouterr().out
-        assert "comparison vs" in second
-        assert "gate passes" in second
-        benches = list(tmp_path.glob("BENCH_*.json"))
-        assert len(benches) == 2
+#: command line -> the one stderr line it must exit 2 with
+USAGE_ERRORS = {
+    "fio --threads 0": "numjobs must be >= 1, got 0",
+    "fio --bs 0": "block size must be in (0, 33554432], got 0",
+    "fio --nops 0": "nops must be >= 1, got 0",
+    "validate --iterations 0": "iterations must be >= 1, got 0",
+    "validate --iterations -1": "iterations must be >= 1, got -1",
+}
 
-    def test_bench_unknown_id_fails(self, tmp_path):
-        assert main(["bench", "fig99", "--out", str(tmp_path)]) == 2
 
-    def test_bench_regression_gate_fails(self, tmp_path, capsys):
-        # crosscheck, not fig12: the gate needs a measurably nonzero
-        # wall-clock on the current run to trip against the forged
-        # impossibly-fast baseline.
-        import json
+class TestUsageErrors:
+    """A bad option value exits 2 and names the value on stderr."""
 
-        from repro.perf.bench import load_bench
-        out_dir = str(tmp_path)
-        assert main(["bench", "crosscheck", "--out", out_dir]) == 0
-        capsys.readouterr()
-        real = load_bench(next(iter(tmp_path.glob("BENCH_*.json"))).as_posix())
-        for entry in real["experiments"]:
-            entry["wall_s"] = 1e-9
-        forged = tmp_path / "forged.json"
-        forged.write_text(json.dumps(real))
-        assert main(["bench", "crosscheck", "--out", out_dir,
-                     "--baseline", str(forged),
-                     "--max-regression", "2.0"]) == 1
-        assert "PERF REGRESSION" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", list(USAGE_ERRORS))
+    def test_exits_2_naming_the_value(self, command, capsys):
+        assert main(command.split()) == 2
+        err = capsys.readouterr().err
+        assert err == USAGE_ERRORS[command] + "\n"
+        assert "Traceback" not in err
+
+    def test_report_bad_jobs_writes_nothing(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--jobs", "zero"]) == 2
+        err = capsys.readouterr().err
+        assert err == "jobs must be an integer or 'auto', got 'zero'\n"
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
