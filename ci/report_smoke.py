@@ -10,14 +10,22 @@ match its declared ``SHAPE`` and pass the job's own assertions (crash:
 ok, >= 50 cut points, >= 1 drain cut, no committed loss, no torn page
 served; soak: zero data loss).  With ``RERUN_DIR`` the rerun's report
 must equal the first byte for byte once ``generated_at`` is nulled.
+
+The report must also equal the one the smoke job has always produced:
+the SHA-256 of its body (``generated_at`` nulled) must match the kind's
+digest in ``ci/report_pins.json``.  The pins hold for the quick
+``--seed 0`` run of each harness.  A change that alters a report on
+purpose replaces that kind's digest with the one this script prints.
 Exits 0 when every check holds, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import glob
+import hashlib
 import importlib
 import json
+import pathlib
 import sys
 
 from repro.report import check
@@ -57,6 +65,9 @@ def soak_failures(payload: dict) -> list[str]:
 
 ASSERTIONS = {"crash": crash_failures, "soak": soak_failures}
 
+#: kind -> SHA-256 of the quick ``--seed 0`` report's :func:`body`
+PINS = pathlib.Path(__file__).with_name("report_pins.json")
+
 
 def load(kind: str, directory: str) -> tuple[str, dict, list[str]]:
     """The report in ``directory`` and its shape problems."""
@@ -75,12 +86,23 @@ def body(payload: dict) -> str:
                       sort_keys=True)
 
 
+def pin_failures(kind: str, payload: dict) -> list[str]:
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))[kind]
+    actual = hashlib.sha256(body(payload).encode("utf-8")).hexdigest()
+    print(f"{kind} report sha256 {actual}, pinned {pinned}")
+    if actual == pinned:
+        return []
+    return [f"{kind} report differs from its pin: sha256 {actual}, "
+            f"pinned {pinned}"]
+
+
 def main(argv: list[str]) -> int:
     kind, directory, *rerun = argv
     path, payload, failures = load(kind, directory)
     print(f"{path}: {len(failures)} schema problems")
     if not failures and kind in ASSERTIONS:
         failures += ASSERTIONS[kind](payload)
+    failures += pin_failures(kind, payload)
     if rerun:
         rerun_path, rerun_payload, problems = load(kind, rerun[0])
         failures += [f"{rerun_path}: {problem}" for problem in problems]

@@ -68,9 +68,8 @@ Determinism dataflow rules (scope: every package except ``check``)
         bench/faults/soak/crash reports are diffed under.
 
 Snapshot coverage rule (scope: *snapshot-registered* modules — those
-defining a :class:`~repro.sim.snapshot.SnapshotMixin` subclass, a class
-with both ``snapshot`` and ``restore`` methods, or registering a
-reducer with a ``SnapshotRegistry``)
+defining a :class:`~repro.sim.snapshot.SnapshotMixin` subclass or a
+class with both ``snapshot`` and ``restore`` methods)
     ``REPRO013`` — mutable state that lives *outside* the object graph a
         snapshot captures: a module-level mutable binding (dict/list/set
         literal, ``itertools.count`` token mill, ...), a module global
@@ -721,12 +720,6 @@ class _Extractor(ast.NodeVisitor):
             if exact is not None:
                 Registry._add(self.registry.trace_consumer_prefixes, exact,
                               self._ref(node))
-        elif (attr == "register"
-                and ("registry" in receiver.lower()
-                     or "snapshot" in receiver.lower())):
-            # SnapshotRegistry reducer registration counts as snapshot
-            # support even without a SnapshotMixin subclass.
-            self._snapshot_module = True
         elif (attr == "startswith" and isinstance(func, ast.Attribute)
                 and _is_category_expr(func.value)
                 and self.is_sanitizer_module and node.args):

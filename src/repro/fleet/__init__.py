@@ -20,13 +20,15 @@ Layout::
     tenants.py       tenant specs + SLOs; request streams reuse the
                      fio / tpch / mixed_load workload generators
     placement.py     placement policies + the zipfian key sampler
-    shard.py         one module shard: fork-from-prefix, admission
-                     queue, integrity sweep, health summary
+    shard.py         one module shard: fork-from-prefix and the one
+                     serve loop (admission queue, fault plan,
+                     integrity sweep, health summary)
     qos.py           latency percentiles and SLO evaluation
     frontend.py      the front end: plan -> place -> fan out -> merge
     report.py        the schema-pinned ``FLEET_*.json`` (repro.fleet/1)
-    chaos.py         chaos campaigns: fault plans, retry/hedge/
-                     failover, shard evacuation, two-pass routing
+    chaos.py         chaos campaigns: the fault plan each shard's serve
+                     loop runs, two-pass hedge/failover/evacuation
+                     routing
     chaos_report.py  the schema-pinned ``CHAOS_*.json``
                      (repro.fleet.chaos/1)
     cli.py           ``repro fleet run | chaos | list``

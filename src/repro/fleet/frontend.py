@@ -26,14 +26,16 @@ from repro.fleet.qos import TenantQoS
 from repro.fleet.report import fleet_payload
 from repro.fleet.shard import (
     Request,
+    ShardOutcome,
     ShardPlan,
     ShardResult,
     build_prefix,
-    run_shard,
+    serve_shard,
     shard_seed,
 )
 from repro.fleet.tenants import TenantSpec, default_tenants
 from repro.report import Gate, Gated
+from repro.sim.snapshot import SimSnapshot
 from repro.units import PAGE_4K
 from repro.workloads.fio import FIOJob, _Thread
 from repro.workloads.tpch import TPCH_QUERIES, generate_query_trace
@@ -90,6 +92,11 @@ class FleetConfig:
                 f"choose from {sorted(PLACEMENTS)}")
         if self.queue_bound < 1:
             raise ConfigError("queue_bound must be >= 1")
+        for weight in self.weights:
+            if weight < 1:
+                raise ConfigError(
+                    f"shard weights must be >= 1 (a weight below 1 "
+                    f"starves its shard), got {weight}")
         if not (0 <= self.wear_shards <= self.shards):
             raise ConfigError(
                 f"wear_shards must be in [0, {self.shards}] "
@@ -308,28 +315,8 @@ class Fleet:
         config = self.config
         snapshot, service_est_ps = build_prefix(
             self.tenants, config.quick, config.seed)
-        plans = self.plan(service_est_ps)
-        if config.jobs > 1 and config.shards > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            workers = min(config.jobs, config.shards)
-            pool = ProcessPoolExecutor(max_workers=workers)
-            try:
-                futures = [
-                    pool.submit(_run_shard_worker, snapshot, plan,
-                                self.tenants)
-                    for plan in plans
-                ]
-                results = collect_fan_out(
-                    futures, [plan.shard for plan in plans], pool,
-                    config.worker_timeout_s)
-            finally:
-                # On the deadline path collect_fan_out already shut the
-                # pool down without joining; a plain ``with`` block
-                # would block here waiting on the stuck worker.
-                pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            results = [run_shard(snapshot, plan, self.tenants)
-                       for plan in plans]
+        results = [outcome.result for outcome in
+                   self.serve(snapshot, self.plan(service_est_ps))]
         merged = [TenantQoS(spec=spec) for spec in self.tenants]
         for shard in results:
             for index, qos in enumerate(shard.tenants):
@@ -339,10 +326,32 @@ class Fleet:
             service_est_ps=service_est_ps, shards=results,
             tenants=merged)
 
+    def serve(self, snapshot: SimSnapshot,
+              plans: list[ShardPlan]) -> list[ShardOutcome]:
+        """Serve ``plans`` serially or over ``config.jobs`` workers.
 
-def _run_shard_worker(snapshot, plan, tenants) -> ShardResult:
-    """Top-level worker so ProcessPoolExecutor can pickle the call."""
-    return run_shard(snapshot, plan, tenants)
+        Both paths return the same outcomes, in plan order: each shard
+        is a pure function of its plan and the shared snapshot.
+        """
+        config = self.config
+        if config.jobs > 1 and len(plans) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(
+                max_workers=min(config.jobs, len(plans)))
+            try:
+                futures = [pool.submit(serve_shard, snapshot, plan,
+                                       self.tenants)
+                           for plan in plans]
+                return collect_fan_out(
+                    futures, [plan.shard for plan in plans], pool,
+                    config.worker_timeout_s)
+            finally:
+                # On the deadline path collect_fan_out already shut the
+                # pool down without joining; a plain ``with`` block
+                # would block here waiting on the stuck worker.
+                pool.shutdown(wait=False, cancel_futures=True)
+        return [serve_shard(snapshot, plan, self.tenants)
+                for plan in plans]
 
 
 def collect_fan_out(futures, shard_ids, pool,

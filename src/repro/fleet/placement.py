@@ -107,11 +107,11 @@ class CapacityWeightedPlacement:
     def shard_for(self, tenant: TenantSpec, tenant_index: int, key: int,
                   seq: int, shards: int,
                   weights: tuple[int, ...]) -> int:
-        total = sum(weights[:shards]) or shards
+        total = sum(weights[:shards])
         point = (_key_hash(tenant_index, key) / 0x1_0000_0000) * total
         cumulative = 0
         for shard in range(shards):
-            cumulative += weights[shard] if shard < len(weights) else 1
+            cumulative += weights[shard]
             if point < cumulative:
                 return shard
         return shards - 1

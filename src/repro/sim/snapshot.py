@@ -28,9 +28,8 @@ Callbacks (engine heap entries, tracer subscribers, eviction and commit
 hooks) must be *bound methods of snapshotted objects* or *instances of
 module-level classes* — both re-bind naturally on restore.  Closures
 and lambdas capture frames, which cannot be serialized; holders of such
-callbacks either convert them to small callable classes (see
-``repro.kernel.fs``) or register a reconstructor with the
-:class:`SnapshotRegistry`.
+callbacks convert them to small callable classes (see
+``repro.kernel.fs``).
 
 What is deliberately *not* captured
 -----------------------------------
@@ -48,8 +47,7 @@ from __future__ import annotations
 import bisect
 import io
 import pickle
-import pickletools
-from typing import Any, Callable, Iterator
+from typing import Any
 
 #: Serialization protocol: the newest both supported interpreters speak.
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -65,41 +63,6 @@ _SHARE_MIN_BYTES = 256
 
 class SnapshotError(Exception):
     """State could not be captured (or restored) as a snapshot."""
-
-
-class SnapshotRegistry:
-    """Reconstructors for objects the serializer cannot handle itself.
-
-    A *reducer* follows the ``copyreg`` contract: it maps a live object
-    to ``(callable, args)`` such that ``callable(*args)`` rebuilds an
-    equivalent object on restore.  Model layers register reducers for
-    their awkward members instead of teaching this module about every
-    layer (dependency direction: models know the registry, never the
-    reverse).
-    """
-
-    def __init__(self) -> None:
-        self._table: dict[type, Callable[[Any], tuple]] = {}
-
-    def register(self, cls: type,
-                 reducer: Callable[[Any], tuple]) -> None:
-        """Register ``reducer`` for instances of exactly ``cls``."""
-        self._table[cls] = reducer
-
-    def reducer_for(self, cls: type) -> Callable[[Any], tuple] | None:
-        return self._table.get(cls)
-
-    @property
-    def table(self) -> dict[type, Callable[[Any], tuple]]:
-        """The ``pickle.Pickler.dispatch_table`` view of the registry."""
-        return self._table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
-#: The default registry model layers register with at import time.
-DEFAULT_REGISTRY = SnapshotRegistry()
 
 
 class _ForkPickler(pickle.Pickler):
@@ -138,26 +101,6 @@ class _ForkUnpickler(pickle.Unpickler):
         return self._shared[pid]
 
 
-def _dump(roots: Any, registry: SnapshotRegistry | None,
-          shared: list[bytes] | None = None) -> bytes:
-    buffer = io.BytesIO()
-    if shared is None:
-        pickler = pickle.Pickler(buffer, protocol=_PROTOCOL)
-    else:
-        pickler = _ForkPickler(buffer, shared)
-    pickler.dispatch_table = (registry or DEFAULT_REGISTRY).table
-    try:
-        pickler.dump(roots)
-    except Exception as exc:
-        raise SnapshotError(
-            f"cannot capture simulation state: {exc!r}.  Callbacks in "
-            "snapshotted state must be bound methods or instances of "
-            "module-level classes (closures and lambdas capture frames); "
-            "convert the callback or register a reconstructor with the "
-            "SnapshotRegistry.") from exc
-    return buffer.getvalue()
-
-
 class SimSnapshot:
     """One captured simulation state, forkable any number of times.
 
@@ -179,16 +122,24 @@ class SimSnapshot:
         self.label = label
 
     @classmethod
-    def capture(cls, roots: Any, event_index: int = 0, label: str = "",
-                registry: SnapshotRegistry | None = None) -> "SimSnapshot":
+    def capture(cls, roots: Any, event_index: int = 0,
+                label: str = "") -> "SimSnapshot":
         """Serialize ``roots`` (any picklable structure of model objects,
         conventionally a dict of named roots) into one shared-reference
         blob.  Large immutable payloads are kept by reference in
         ``shared`` rather than serialized — every fork aliases them.
         """
+        buffer = io.BytesIO()
         shared: list[bytes] = []
-        return cls(_dump(roots, registry, shared), event_index, label,
-                   shared)
+        try:
+            _ForkPickler(buffer, shared).dump(roots)
+        except Exception as exc:
+            raise SnapshotError(
+                f"cannot capture simulation state: {exc!r}.  Callbacks in "
+                "snapshotted state must be bound methods or instances of "
+                "module-level classes (closures and lambdas capture "
+                "frames).") from exc
+        return cls(buffer.getvalue(), event_index, label, shared)
 
     def restore(self) -> Any:
         """Materialize an independent fork of the captured roots."""
@@ -205,17 +156,6 @@ class SimSnapshot:
         """Size of the structural blob (excludes shared payloads)."""
         return len(self.blob)
 
-    @property
-    def shared_bytes(self) -> int:
-        """Total size of the payloads aliased (not copied) by forks."""
-        return sum(len(payload) for payload in self.shared)
-
-    def optimize(self) -> "SimSnapshot":
-        """Return an equivalent snapshot with a smaller blob (dead
-        opcodes removed); useful when many snapshots are retained."""
-        return SimSnapshot(pickletools.optimize(self.blob),
-                           self.event_index, self.label, self.shared)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SimSnapshot(event_index={self.event_index}, "
                 f"nbytes={self.nbytes}, shared={len(self.shared)}, "
@@ -223,31 +163,13 @@ class SimSnapshot:
 
 
 class SnapshotMixin:
-    """Per-class ``snapshot()/restore()`` over the shared serializer.
+    """Marks a state-holding model class whose instances snapshots carry.
 
-    State-holding model classes mix this in so any single subsystem can
-    be captured and rebuilt on its own (property tests round-trip the
-    engine and the FTL this way).  Whole-system forks should capture all
-    roots in *one* :class:`SimSnapshot` instead — per-object snapshots
-    cannot preserve references shared between objects.
+    It adds no behaviour: whole-system forks capture every root in one
+    :class:`SimSnapshot`.  REPRO013 (``repro.check.xstatic``) reads the
+    marker to find the modules whose module- and class-level state a
+    fork would silently alias.
     """
-
-    def snapshot(self, registry: SnapshotRegistry | None = None) -> bytes:
-        """Serialize this object (and everything it references)."""
-        return _dump(self, registry)
-
-    @classmethod
-    def restore(cls, blob: bytes) -> Any:
-        """Rebuild an instance from :meth:`snapshot` output."""
-        try:
-            obj = pickle.loads(blob)
-        except Exception as exc:
-            raise SnapshotError(
-                f"cannot restore {cls.__name__} snapshot: {exc!r}") from exc
-        if not isinstance(obj, cls):
-            raise SnapshotError(
-                f"snapshot holds {type(obj).__name__}, not {cls.__name__}")
-        return obj
 
 
 class SnapshotTimeline:
@@ -282,13 +204,3 @@ class SnapshotTimeline:
         if pos == 0:
             return None
         return self._snaps[pos - 1]
-
-    def __len__(self) -> int:
-        return len(self._snaps)
-
-    def __iter__(self) -> Iterator[SimSnapshot]:
-        return iter(self._snaps)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(snap.nbytes for snap in self._snaps)

@@ -116,6 +116,10 @@ def test_config_rejects_bad_values():
         FleetConfig(queue_bound=0)
     with pytest.raises(ConfigError):
         FleetConfig(shards=2, wear_shards=3)
+    with pytest.raises(ConfigError, match="got 0"):
+        FleetConfig(shards=2, weights=(0, 0))
+    with pytest.raises(ConfigError, match="got -5"):
+        FleetConfig(shards=2, weights=(-5, 3))
 
 
 def test_wear_range_rejected_with_actionable_message():
@@ -357,6 +361,10 @@ def test_cli_rejects_bad_flags(tmp_path, capsys):
                  str(tmp_path)]) == 2
     assert main(["fleet", "run", "--jobs", "zero", "--out",
                  str(tmp_path)]) == 2
+    assert main(["fleet", "run", "--quick", "--shards", "2", "--weights",
+                 "0", "0", "--out", str(tmp_path)]) == 2
+    assert "weights must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("FLEET_*.json"))
 
 
 def test_cli_rejects_zero_requests(tmp_path, capsys):

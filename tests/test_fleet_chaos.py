@@ -9,14 +9,14 @@ from repro.errors import ConfigError
 from repro.fleet.chaos import (
     ChaosConfig,
     ChaosRoles,
-    ChaosShardOutcome,
     plan_events,
     plan_roles,
     route_failover,
     run_chaos,
 )
 from repro.fleet.chaos_report import SCHEMA, SHAPE
-from repro.fleet.shard import Request, ShardResult, tenant_bases
+from repro.fleet.shard import (Request, ShardOutcome, ShardResult,
+                               tenant_bases)
 from repro.fleet.tenants import default_tenants
 from repro.report import check, render_report
 
@@ -41,6 +41,10 @@ def test_config_rejects_bad_values():
         ChaosConfig(shards=3, worker_timeout_s=0)
     with pytest.raises(ConfigError, match="requests must be >= 1"):
         ChaosConfig(shards=3, requests=0)
+    with pytest.raises(ConfigError, match="got 0"):
+        ChaosConfig(shards=2, weights=(0, 0))
+    with pytest.raises(ConfigError, match="got -5"):
+        ChaosConfig(shards=2, weights=(-5, 3))
 
 
 def test_config_defaults():
@@ -88,9 +92,9 @@ def _synthetic_outcome(shard: int, state: str, refused=(), evac=()):
     result = ShardResult(shard=shard, tenants=[])
     result.health = {"state": state, "worst": state, "counters": {},
                      "transitions": 0}
-    return ChaosShardOutcome(result=result,
-                             refused_requests=tuple(refused),
-                             evac_pages=tuple(evac))
+    return ShardOutcome(result=result,
+                        refused_requests=tuple(refused),
+                        evac_pages=tuple(evac))
 
 
 def test_route_failover_picks_ring_donor_and_excludes_hedged():
