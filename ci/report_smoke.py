@@ -4,19 +4,21 @@ Usage, from the repository root with ``PYTHONPATH=src``::
 
     python ci/report_smoke.py KIND DIR [RERUN_DIR]
 
-``KIND`` is one of ``faults``, ``soak``, ``crash``, ``fleet``, ``chaos``
-or ``aging``.  The single ``<PREFIX>_*.json`` report in ``DIR`` must
-match its declared ``SHAPE`` and pass the job's own assertions (crash:
-ok, >= 50 cut points, >= 1 drain cut, no committed loss, no torn page
-served; soak: zero data loss).  With ``RERUN_DIR`` the rerun's report
-must equal the first byte for byte once ``generated_at`` is nulled.
+``KIND`` is one of ``faults``, ``faults-full``, ``soak``, ``crash``,
+``fleet``, ``chaos`` or ``aging``.  The single ``<PREFIX>_*.json``
+report in ``DIR`` must match its declared ``SHAPE`` and pass the job's
+own assertions (crash: ok, >= 50 cut points, >= 1 drain cut, no
+committed loss, no torn page served; soak: zero data loss).  With
+``RERUN_DIR`` the rerun's report must equal the first byte for byte
+once ``generated_at`` is nulled.
 
 The report must also equal the one the smoke job has always produced:
 the SHA-256 of its body (``generated_at`` nulled) must match the kind's
 digest in ``ci/report_pins.json``.  The pins hold for the quick
-``--seed 0`` run of each harness.  A change that alters a report on
-purpose replaces that kind's digest with the one this script prints.
-Exits 0 when every check holds, 1 otherwise.
+``--seed 0`` run of each harness; ``faults-full`` pins the full fault
+matrix (``faults run --seed 0``, all 21 cells).  A change that alters a
+report on purpose replaces that kind's digest with the one this script
+prints.  Exits 0 when every check holds, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.report import check
 #: kind -> (report file prefix, module declaring its SHAPE)
 REPORTS = {
     "faults": ("FAULTS", "repro.faults.report"),
+    "faults-full": ("FAULTS", "repro.faults.report"),
     "soak": ("SOAK", "repro.health.report"),
     "crash": ("RECOVERY", "repro.recovery.report"),
     "fleet": ("FLEET", "repro.fleet.report"),
@@ -65,7 +68,7 @@ def soak_failures(payload: dict) -> list[str]:
 
 ASSERTIONS = {"crash": crash_failures, "soak": soak_failures}
 
-#: kind -> SHA-256 of the quick ``--seed 0`` report's :func:`body`
+#: kind -> SHA-256 of the ``--seed 0`` report's :func:`body`
 PINS = pathlib.Path(__file__).with_name("report_pins.json")
 
 

@@ -53,11 +53,6 @@ class Sanitizer:
         name = type(self).__name__
         return name.removesuffix("Sanitizer") or name
 
-    def feed(self, record: TraceRecord) -> None:
-        """Tracer-facing entry point: buffer context, then observe."""
-        self._context.append(record)
-        self.observe(record)
-
     def observe(self, record: TraceRecord) -> None:
         raise NotImplementedError
 

@@ -1,11 +1,13 @@
-"""The concrete sanitizers: race, coherence, protocol, time.
+"""The concrete sanitizers: race, coherence, protocol, scrub, time.
 
 Each sanitizer consumes the self-describing structured records the
 models emit (``ddr.cmd`` carries its bus-occupancy intervals and — on
-REF — the extended-tRFC device window; ``nvmc.dma`` carries its window
-bounds and byte budget; the nvdc driver emits its §V-B coherence
-bracket), so no sanitizer needs a DDR4 spec or timeline of its own:
-what is checked is exactly what was observed.
+REF — the extended-tRFC device window; ``nvmc.dma`` carries every
+refresh window one CP operation moved, each with its bounds, and the
+byte budget; the nvdc driver emits its §V-B coherence bracket), so no
+sanitizer needs a DDR4 spec or timeline of its own: what is checked is
+exactly what was observed.  A rule that applies per refresh window is
+checked for each carried window, in the order the operation moved them.
 
 All state is sharded by the ``owner`` token on each record, so several
 systems sharing one ambient tracer are validated independently.
@@ -16,7 +18,13 @@ from __future__ import annotations
 from collections import deque
 
 from repro.check.sanitizer import Sanitizer
+from repro.nvmc.nvmc import DMA_WINDOW_FIELDS
 from repro.sim.trace import TraceRecord
+
+#: Positions in an ``nvmc.dma`` record's carried windows.
+_KIND, _WINDOW, _BYTES, _ADDR, _WIN_START = (
+    DMA_WINDOW_FIELDS.index(name)
+    for name in ("kind", "window", "bytes", "addr", "win_start"))
 
 
 class _WindowFIFO(dict):
@@ -221,19 +229,22 @@ class CoherenceSanitizer(Sanitizer):
             self._pending_fills.get(owner, set()).discard(
                 int(record.fields["addr"]))
         elif category == "nvmc.dma":
-            kind = record.fields.get("kind")
-            addr = int(record.fields.get("addr", -1))
-            if kind == "evict":
-                if addr in self._dirty_unflushed.get(owner, set()):
-                    self.violation(
-                        "dirty-evict",
-                        f"device DMA-read slot paddr {addr:#x} while its "
-                        "lines were dirty and unflushed (missing "
-                        "clflush+sfence before writeback, §V-B)",
-                        record=record, addr=addr)
-            elif kind == "fill":
-                self._pending_fills.setdefault(owner, set()).add(addr)
-                self._last_fill_record[owner] = record
+            # In the order moved: a MERGED op evicts, then fills.
+            for carried in record.fields["windows"]:
+                kind = carried[_KIND]
+                if kind == "evict":
+                    addr = int(carried[_ADDR])
+                    if addr in self._dirty_unflushed.get(owner, set()):
+                        self.violation(
+                            "dirty-evict",
+                            f"device DMA-read slot paddr {addr:#x} while "
+                            "its lines were dirty and unflushed (missing "
+                            "clflush+sfence before writeback, §V-B)",
+                            record=record, addr=addr)
+                elif kind == "fill":
+                    self._pending_fills.setdefault(owner, set()).add(
+                        int(carried[_ADDR]))
+                    self._last_fill_record[owner] = record
         elif category == "cp.post":
             self._check_pending_fills(owner)
             if str(record.fields.get("opcode")) in self._WRITE_OPCODES:
@@ -330,35 +341,36 @@ class ProtocolSanitizer(Sanitizer):
                     record=record, banks=sorted(open_banks))
                 open_banks.clear()
         elif category == "nvmc.dma":
-            window = int(fields["window"])
-            nbytes = int(fields["bytes"])
+            cmd = int(fields.get("cmd", 0))
             budget = int(fields["budget"])
+            depth = self._depth.get(owner, 1)
             windows = self._windows.get(owner)
             if windows is None:
                 windows = self._windows[owner] = _WindowFIFO()
-            entry = windows.get(window)
-            if entry is None:
-                entry = windows.remember(window, [0, set()],
-                                         self.WINDOW_MEMORY)
-            total = entry[0] = entry[0] + nbytes
-            if total > budget:
-                self.violation(
-                    "window-budget",
-                    f"{total} bytes scheduled into window {window} "
-                    f"exceeds the {budget}-byte per-window budget",
-                    record=record, window=window, total=total,
-                    budget=budget)
-            cmds = entry[1]
-            cmds.add(int(fields.get("cmd", 0)))
-            depth = self._depth.get(owner, 1)
-            if len(cmds) > depth:
-                self.violation(
-                    "window-sharing",
-                    f"window {window} served {len(cmds)} distinct CP "
-                    "commands; the PoC serves one per window "
-                    f"(queue depth {depth})",
-                    record=record, window=window, commands=sorted(cmds),
-                    depth=depth)
+            for carried in fields["windows"]:
+                window = int(carried[_WINDOW])
+                entry = windows.get(window)
+                if entry is None:
+                    entry = windows.remember(window, [0, set()],
+                                             self.WINDOW_MEMORY)
+                total = entry[0] = entry[0] + int(carried[_BYTES])
+                if total > budget:
+                    self.violation(
+                        "window-budget",
+                        f"{total} bytes scheduled into window {window} "
+                        f"exceeds the {budget}-byte per-window budget",
+                        record=record, window=window, total=total,
+                        budget=budget)
+                cmds = entry[1]
+                cmds.add(cmd)
+                if len(cmds) > depth:
+                    self.violation(
+                        "window-sharing",
+                        f"window {window} served {len(cmds)} distinct CP "
+                        "commands; the PoC serves one per window "
+                        f"(queue depth {depth})",
+                        record=record, window=window,
+                        commands=sorted(cmds), depth=depth)
         elif category == "cp.post":
             depth = int(fields.get("depth", 1))
             self._depth[owner] = depth
@@ -395,7 +407,7 @@ class ScrubSanitizer(Sanitizer):
     stay inside the window it claimed.  Each ``health.scrub`` record
     declares the claimed window (``window``/``win_start``/``win_end``)
     and the bus span actually used (``start_ps``/``end_ps``); host DMA
-    (``nvmc.dma``) records carry their ``window`` index, so the two
+    (``nvmc.dma``) records carry each window's index, so the two
     streams correlate per owner.
 
     Rules:
@@ -423,8 +435,8 @@ class ScrubSanitizer(Sanitizer):
             return
         fields = record.fields
         owner = str(fields.get("owner", "?"))
-        window = int(fields["window"])
         if category == "health.scrub":
+            window = int(fields["window"])
             win_start = int(fields["win_start"])
             win_end = int(fields["win_end"])
             start = int(fields["start_ps"])
@@ -442,23 +454,31 @@ class ScrubSanitizer(Sanitizer):
                     f"scrub claimed window {window} after host DMA "
                     "already used it",
                     record=record, window=window)
-            self._remember(self._scrub_windows, owner, window)
+            scrubbed = self._windows_of(self._scrub_windows, owner)
+            if window not in scrubbed:
+                scrubbed.remember(window, True, self.WINDOW_MEMORY)
         else:
-            if window in self._scrub_windows.get(owner, ()):
-                self.violation(
-                    "scrub-collision",
-                    f"host DMA landed in window {window} the patrol "
-                    "scrub already claimed",
-                    record=record, window=window)
-            self._remember(self._dma_windows, owner, window)
+            scrubbed = self._scrub_windows.get(owner, ())
+            used = self._windows_of(self._dma_windows, owner)
+            for carried in fields["windows"]:
+                window = int(carried[_WINDOW])
+                if window in scrubbed:
+                    self.violation(
+                        "scrub-collision",
+                        f"host DMA landed in window {window} the patrol "
+                        "scrub already claimed",
+                        record=record, window=window)
+                if window not in used:
+                    used.remember(window, True, self.WINDOW_MEMORY)
 
-    def _remember(self, table: dict[str, _WindowFIFO], owner: str,
-                  window: int) -> None:
+    @staticmethod
+    def _windows_of(table: dict[str, _WindowFIFO],
+                    owner: str) -> _WindowFIFO:
+        """``owner``'s remembered windows in ``table``, made on first use."""
         windows = table.get(owner)
         if windows is None:
             windows = table[owner] = _WindowFIFO()
-        if window not in windows:
-            windows.remember(window, True, self.WINDOW_MEMORY)
+        return windows
 
 
 class TimeSanitizer(Sanitizer):
@@ -471,6 +491,10 @@ class TimeSanitizer(Sanitizer):
         ``time-regression``  — within one (owner, category) stream whose
             emitter is serialised (bus traffic, refresh loop, CP acks,
             windowed DMA), a record went backwards in time.
+
+    The timestamps of an ``nvmc.dma`` record are its carried windows'
+    starts, checked in the order moved, so a window that goes backwards
+    inside one CP operation is a regression too.
     """
 
     #: Streams whose emitters guarantee non-decreasing emission times.
@@ -485,29 +509,34 @@ class TimeSanitizer(Sanitizer):
         self._last: dict[tuple[str, str], int] = {}
 
     def observe(self, record: TraceRecord) -> None:
-        t = record.time_ps
-        if not isinstance(t, int) or isinstance(t, bool):
-            self.violation(
-                "non-integer-time",
-                f"record {record.category} carries non-integer time "
-                f"{t!r} ({type(t).__name__}); simulated time is integer "
-                "picoseconds",
-                record=record, time=t)
-            return
-        if t < 0:
-            self.violation(
-                "negative-time",
-                f"record {record.category} at negative time {t} ps",
-                record=record, time=t)
-            return
-        if record.category in self._MONOTONIC_SET:
-            # ``owner_of``, inlined: this observe runs for every record.
-            key = (str(record.fields.get("owner", "?")), record.category)
-            last = self._last.get(key)
-            if last is not None and t < last:
+        category = record.category
+        if category == "nvmc.dma":
+            times = [carried[_WIN_START]
+                     for carried in record.fields["windows"]]
+        else:
+            times = [record.time_ps]
+        # ``owner_of``, inlined: this observe runs for every record.
+        key = ((str(record.fields.get("owner", "?")), category)
+               if category in self._MONOTONIC_SET else None)
+        for t in times:
+            if not isinstance(t, int) or isinstance(t, bool):
                 self.violation(
-                    "time-regression",
-                    f"{record.category} stream of {key[0]} went backwards: "
-                    f"{t} ps after {last} ps",
-                    record=record, time=t, previous=last)
-            self._last[key] = t
+                    "non-integer-time",
+                    f"record {category} carries non-integer time {t!r} "
+                    f"({type(t).__name__}); simulated time is integer "
+                    "picoseconds",
+                    record=record, time=t)
+            elif t < 0:
+                self.violation(
+                    "negative-time",
+                    f"record {category} at negative time {t} ps",
+                    record=record, time=t)
+            elif key is not None:
+                last = self._last.get(key)
+                if last is not None and t < last:
+                    self.violation(
+                        "time-regression",
+                        f"{category} stream of {key[0]} went backwards: "
+                        f"{t} ps after {last} ps",
+                        record=record, time=t, previous=last)
+                self._last[key] = t

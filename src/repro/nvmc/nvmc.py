@@ -41,10 +41,29 @@ from repro.sim.trace import (MessageTemplate, Tracer, default_tracer,
                              next_owner)
 from repro.units import CACHELINE, PAGE_4K
 
+#: The fields of each entry of an ``nvmc.dma`` record's ``windows``, in
+#: order.  A CP operation emits one ``nvmc.dma`` record carrying one
+#: entry per refresh window it moved, in the order moved.
+DMA_WINDOW_FIELDS = ("kind", "window", "bytes", "requested", "addr",
+                     "win_start", "win_end", "end_ps")
+
+
+class _CarriedTemplate(MessageTemplate):
+    """An ``nvmc.dma`` message: the template rendered over each carried
+    window's fields, joined by commas."""
+
+    __slots__ = ()
+
+    def format_map(self, fields) -> str:
+        return ", ".join(
+            str.format_map(self, dict(zip(DMA_WINDOW_FIELDS, entry)))
+            for entry in fields["windows"])
+
+
 #: Trace messages, rendered from the record's fields only when read.
 _POSTED = MessageTemplate("{opcode} posted")
 _DONE = MessageTemplate("{opcode} done")
-_MOVED = MessageTemplate("{kind} {bytes}B in window {window}")
+_MOVED = _CarriedTemplate("{kind} {bytes}B in window {window}")
 
 
 class OperationResult(NamedTuple):
@@ -223,33 +242,55 @@ class NVMCModel(SnapshotMixin):
         start = max(submit_ps, self.ready_ps)
         fault = (self.faults.pull_command_fault()
                  if self.faults is not None else None)
-        if fault == "phase":
-            # The phase field arrived mangled: the device's poll sees a
-            # word whose phase matches the last command, concludes it is
-            # stale, and goes back to sleep.  One poll window is burnt;
-            # no media work, no acknowledgement — the driver times out.
-            ready, windows = self._poll(start)
-            self._fsm_to(NVMCState.IDLE, ready)
-            result = OperationResult(command.opcode, submit_ps, ready,
-                                     windows, 0, status=self.NO_ACK)
-        elif fault == "opcode":
-            # The opcode field arrived mangled: the device decodes
-            # garbage and publishes DECODE_ERROR without touching media.
-            ready, windows = self._poll(start)
-            end, ack_windows = self._ack(ready)
-            result = OperationResult(command.opcode, submit_ps, end,
-                                     windows + ack_windows, 0,
-                                     status=CPAck.DECODE_ERROR)
-        elif command.opcode is Opcode.CACHEFILL:
-            result = self._run_cachefill(command, submit_ps, start)
-        elif command.opcode is Opcode.WRITEBACK:
-            result = self._run_writeback(command, submit_ps, start)
-        elif command.opcode is Opcode.MERGED:
-            result = self._run_merged(command, submit_ps, start)
-        elif command.opcode is Opcode.NOP:
-            result = self._run_nop(command, submit_ps, start)
-        else:
-            raise CPProtocolError(f"unsupported opcode {command.opcode}")
+        # The windows this op moves (``DMA_WINDOW_FIELDS`` entries), or
+        # None when tracing is off.  A local, so snapshots never carry
+        # it; an op cut short (a fault-clock power cut) still reports
+        # the windows it moved.
+        carried: list[tuple] | None = [] if self.tracer.enabled else None
+        try:
+            if fault == "phase":
+                # The phase field arrived mangled: the device's poll
+                # sees a word whose phase matches the last command,
+                # concludes it is stale, and goes back to sleep.  One
+                # poll window is burnt; no media work, no
+                # acknowledgement — the driver times out.
+                ready, windows = self._poll(start, carried)
+                self._fsm_to(NVMCState.IDLE, ready)
+                result = OperationResult(command.opcode, submit_ps, ready,
+                                         windows, 0, status=self.NO_ACK)
+            elif fault == "opcode":
+                # The opcode field arrived mangled: the device decodes
+                # garbage and publishes DECODE_ERROR without touching
+                # media.
+                ready, windows = self._poll(start, carried)
+                end, ack_windows = self._ack(ready, carried)
+                result = OperationResult(command.opcode, submit_ps, end,
+                                         windows + ack_windows, 0,
+                                         status=CPAck.DECODE_ERROR)
+            elif command.opcode is Opcode.CACHEFILL:
+                result = self._run_cachefill(command, submit_ps, start,
+                                             carried)
+            elif command.opcode is Opcode.WRITEBACK:
+                result = self._run_writeback(command, submit_ps, start,
+                                             carried)
+            elif command.opcode is Opcode.MERGED:
+                result = self._run_merged(command, submit_ps, start,
+                                          carried)
+            elif command.opcode is Opcode.NOP:
+                result = self._run_nop(command, submit_ps, start, carried)
+            else:
+                raise CPProtocolError(
+                    f"unsupported opcode {command.opcode}")
+        finally:
+            if carried:
+                # Timed at the first window's ``win_start``.  The record
+                # is self-describing for the sanitizers: each window's
+                # bounds and the per-window byte budget, so observers
+                # need no timeline of their own.
+                self.tracer.emit(carried[0][5], "nvmc.dma", _MOVED,
+                                 owner=self.trace_owner, cmd=cmd_id,
+                                 budget=self.dma.window_bytes,
+                                 windows=tuple(carried))
         if fault is not None and self.tracer.enabled:
             self.tracer.emit(result.completion_ps, "cp.fault",
                              f"{opcode_name} corrupted ({fault})",
@@ -281,46 +322,50 @@ class NVMCModel(SnapshotMixin):
 
     # -- operation flows ---------------------------------------------------------------
 
-    def _poll(self, start_ps: int) -> tuple[int, int]:
+    def _poll(self, start_ps: int,
+              carried: list | None) -> tuple[int, int]:
         """The CP-poll step; returns (poll end, windows consumed)."""
         self._fsm_to(NVMCState.POLL_CP, start_ps)
         window = self.timeline.next_window(start_ps)
-        end, windows = self._dma_window(CACHELINE, window, "poll")
+        end, windows = self._dma_window(CACHELINE, window, "poll", carried)
         return self.firmware.ready_after(end), windows
 
-    def _ack(self, ready_ps: int) -> tuple[int, int]:
+    def _ack(self, ready_ps: int, carried: list | None) -> tuple[int, int]:
         """The ack-publish step; returns (ack end, windows consumed)."""
         self._fsm_to(NVMCState.ACK, ready_ps)
         window = self.timeline.next_window(ready_ps)
-        end, windows = self._dma_window(CACHELINE, window, "ack")
+        end, windows = self._dma_window(CACHELINE, window, "ack", carried)
         self._fsm_to(NVMCState.IDLE, end)
         return end, windows
 
     def _media_error_ack(self, opcode: Opcode, submit_ps: int,
-                         fail_ps: int, windows: int) -> OperationResult:
+                         fail_ps: int, windows: int,
+                         carried: list | None) -> OperationResult:
         """Publish-path for a failed media operation: ack MEDIA_ERROR."""
         ready = self.firmware.ready_after(fail_ps)
-        end, ack_windows = self._ack(ready)
+        end, ack_windows = self._ack(ready, carried)
         return OperationResult(opcode, submit_ps, end,
                                windows + ack_windows, 0,
                                status=CPAck.MEDIA_ERROR)
 
     def _degraded_ack(self, opcode: Opcode, submit_ps: int,
-                      fail_ps: int, windows: int) -> OperationResult:
+                      fail_ps: int, windows: int,
+                      carried: list | None) -> OperationResult:
         """Publish-path for an operation the degraded media refused.
 
         The 4-bit ack status can only say DEGRADED; the driver pulls
         the machine-readable reason from the shared health monitor.
         """
         ready = self.firmware.ready_after(fail_ps)
-        end, ack_windows = self._ack(ready)
+        end, ack_windows = self._ack(ready, carried)
         return OperationResult(opcode, submit_ps, end,
                                windows + ack_windows, 0,
                                status=CPAck.DEGRADED)
 
     def _run_cachefill(self, command: CPCommand, submit_ps: int,
-                       start_ps: int) -> OperationResult:
-        ready, windows = self._poll(start_ps)
+                       start_ps: int,
+                       carried: list | None) -> OperationResult:
+        ready, windows = self._poll(start_ps, carried)
         # NAND page read (tR + channel transfer), then firmware arms DMA.
         self._fsm_to(NVMCState.NAND_READ, ready)
         self._clock(ready, "nvmc.cachefill.read")
@@ -328,10 +373,10 @@ class NVMCModel(SnapshotMixin):
             data, nand_end = self.nand.read_page(command.nand_page, ready)
         except DegradedModeError:
             return self._degraded_ack(Opcode.CACHEFILL, submit_ps,
-                                      ready, windows)
+                                      ready, windows, carried)
         except MediaError:
             return self._media_error_ack(Opcode.CACHEFILL, submit_ps,
-                                         ready, windows)
+                                         ready, windows, carried)
         nand_busy = nand_end - ready
         if data is None:
             data = bytes(PAGE_4K)   # never-written page reads as zeros
@@ -340,23 +385,24 @@ class NVMCModel(SnapshotMixin):
         self._fsm_to(NVMCState.DRAM_WRITE, ready)
         window = self.timeline.next_window(ready)
         end, fill_windows = self._dma_window(
-            PAGE_4K, window, "fill",
+            PAGE_4K, window, "fill", carried,
             addr=self._slot_addr(command.dram_slot))
         self.dram.poke(self._slot_addr(command.dram_slot), data)
         windows += fill_windows
         ready = self.firmware.ready_after(end)
-        end, ack_windows = self._ack(ready)
+        end, ack_windows = self._ack(ready, carried)
         return OperationResult(Opcode.CACHEFILL, submit_ps, end,
                                windows + ack_windows, nand_busy)
 
     def _run_writeback(self, command: CPCommand, submit_ps: int,
-                       start_ps: int) -> OperationResult:
-        ready, windows = self._poll(start_ps)
+                       start_ps: int,
+                       carried: list | None) -> OperationResult:
+        ready, windows = self._poll(start_ps, carried)
         # DMA the victim page out of the DRAM cache inside a window.
         self._fsm_to(NVMCState.DRAM_READ, ready)
         window = self.timeline.next_window(ready)
         end, evict_windows = self._dma_window(
-            PAGE_4K, window, "evict",
+            PAGE_4K, window, "evict", carried,
             addr=self._slot_addr(command.dram_slot))
         data = self.dram.peek(self._slot_addr(command.dram_slot), PAGE_4K)
         windows += evict_windows
@@ -369,30 +415,31 @@ class NVMCModel(SnapshotMixin):
             nand_end = self.nand.program_page(command.nand_page, data, end)
         except DegradedModeError:
             return self._degraded_ack(Opcode.WRITEBACK, submit_ps,
-                                      end, windows)
+                                      end, windows, carried)
         except MediaError:
             return self._media_error_ack(Opcode.WRITEBACK, submit_ps,
-                                         end, windows)
+                                         end, windows, carried)
         nand_busy = nand_end - end
         ready = self.firmware.ready_after(end)
-        end, ack_windows = self._ack(ready)
+        end, ack_windows = self._ack(ready, carried)
         return OperationResult(Opcode.WRITEBACK, submit_ps, end,
                                windows + ack_windows, nand_busy)
 
     def _run_merged(self, command: CPCommand, submit_ps: int,
-                    start_ps: int) -> OperationResult:
+                    start_ps: int,
+                    carried: list | None) -> OperationResult:
         """Future-work item (4): independent WB+fill in one command.
 
         The NAND read for the fill overlaps the victim DMA-out and the
         NAND program runs on the other channel; one poll and one ack are
         amortised over both halves.
         """
-        ready, windows = self._poll(start_ps)
+        ready, windows = self._poll(start_ps, carried)
         # Window A: victim out of DRAM; NAND read proceeds in parallel.
         self._fsm_to(NVMCState.DRAM_READ, ready)
         window = self.timeline.next_window(ready)
         wb_end, evict_windows = self._dma_window(
-            PAGE_4K, window, "evict",
+            PAGE_4K, window, "evict", carried,
             addr=self._slot_addr(command.wb_dram_slot))
         victim = self.dram.peek(self._slot_addr(command.wb_dram_slot),
                                 PAGE_4K)
@@ -407,10 +454,10 @@ class NVMCModel(SnapshotMixin):
             data, read_end = self.nand.read_page(command.nand_page, ready)
         except DegradedModeError:
             return self._degraded_ack(Opcode.MERGED, submit_ps,
-                                      wb_end, windows)
+                                      wb_end, windows, carried)
         except MediaError:
             return self._media_error_ack(Opcode.MERGED, submit_ps,
-                                         wb_end, windows)
+                                         wb_end, windows, carried)
         if data is None:
             data = bytes(PAGE_4K)
         nand_busy = max(prog_end, read_end) - ready
@@ -419,19 +466,19 @@ class NVMCModel(SnapshotMixin):
         self._fsm_to(NVMCState.DRAM_WRITE, ready)
         window = self.timeline.next_window(ready)
         end, fill_windows = self._dma_window(
-            PAGE_4K, window, "fill",
+            PAGE_4K, window, "fill", carried,
             addr=self._slot_addr(command.dram_slot))
         self.dram.poke(self._slot_addr(command.dram_slot), data)
         windows += fill_windows
         ready = self.firmware.ready_after(end)
-        end, ack_windows = self._ack(ready)
+        end, ack_windows = self._ack(ready, carried)
         return OperationResult(Opcode.MERGED, submit_ps, end,
                                windows + ack_windows, nand_busy)
 
     def _run_nop(self, command: CPCommand, submit_ps: int,
-                 start_ps: int) -> OperationResult:
-        ready, windows = self._poll(start_ps)
-        end, ack_windows = self._ack(ready)
+                 start_ps: int, carried: list | None) -> OperationResult:
+        ready, windows = self._poll(start_ps, carried)
+        end, ack_windows = self._ack(ready, carried)
         return OperationResult(Opcode.NOP, submit_ps, end,
                                windows + ack_windows, 0)
 
@@ -442,8 +489,9 @@ class NVMCModel(SnapshotMixin):
         if self.fault_clock is not None:
             self.fault_clock.check(now_ps, site)
 
-    def _dma_window(self, nbytes: int, window: RefreshWindow,
-                    kind: str, addr: int = -1) -> tuple[int, int]:
+    def _dma_window(self, nbytes: int, window: RefreshWindow, kind: str,
+                    carried: list | None,
+                    addr: int = -1) -> tuple[int, int]:
         """Move ``nbytes`` through refresh windows; returns
         ``(completion time, windows consumed)``.
 
@@ -453,10 +501,9 @@ class NVMCModel(SnapshotMixin):
         respects the per-window byte budget, so the transfer stays legal
         from the sanitizers' point of view, it just takes longer.
 
-        The ``nvmc.dma`` record is self-describing for the sanitizers: it
-        carries the window bounds the transfer must respect and the
-        per-window byte budget, so observers need no timeline of their
-        own.
+        Each window moved is appended to ``carried`` (when tracing) as a
+        :data:`DMA_WINDOW_FIELDS` entry, with the window bounds the
+        transfer must respect.
         """
         remaining = nbytes
         windows_used = 0
@@ -471,14 +518,9 @@ class NVMCModel(SnapshotMixin):
             end = (self.dma.schedule(moved, window) if moved > 0
                    else window.start_ps)
             windows_used += 1
-            if self.tracer.enabled:
-                self.tracer.emit(window.start_ps, "nvmc.dma", _MOVED,
-                                 owner=self.trace_owner, cmd=self._cmd_seq,
-                                 kind=kind, window=window.index, bytes=moved,
-                                 requested=remaining,
-                                 budget=self.dma.window_bytes, addr=addr,
-                                 win_start=window.start_ps,
-                                 win_end=window.end_ps, end_ps=end)
+            if carried is not None:
+                carried.append((kind, window.index, moved, remaining, addr,
+                                window.start_ps, window.end_ps, end))
             remaining -= moved
             if remaining <= 0:
                 return end, windows_used

@@ -43,6 +43,7 @@ import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from repro.errors import ConfigError
 from repro.sim.snapshot import SnapshotMixin
 from repro.units import format_time
 
@@ -143,7 +144,9 @@ class Tracer(SnapshotMixin):
     subscriber* — only its archival in ``records`` is skipped (counted
     in ``dropped``).  Certification in ``repro.check`` keys off
     ``dropped`` because the archived trace is incomplete, but online
-    observation (the sanitizers themselves) remains complete.  The
+    observation (the sanitizers themselves) remains complete.  A
+    ``capacity`` below 1 could never certify a run, so it is a
+    :class:`~repro.errors.ConfigError`.  The
     disabled / category-filtered early-outs in :meth:`emit` happen
     *before* record construction and before subscriber delivery — a
     filtered-out record does not exist for either consumer.  A record
@@ -154,6 +157,8 @@ class Tracer(SnapshotMixin):
                  categories: tuple[str, ...] | None = None,
                  capacity: int | None = None,
                  archive: bool = True) -> None:
+        if capacity is not None and capacity < 1:
+            raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.enabled = enabled
         # Normalised to a real tuple so routing can hand it straight to
         # ``str.startswith`` (which accepts a tuple of prefixes).

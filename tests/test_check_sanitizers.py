@@ -22,6 +22,17 @@ def strict(*sanitizers):
     return tracer, suite
 
 
+def dma_op(tracer, *windows, owner="nvmc#0", cmd=1):
+    """One CP op's ``nvmc.dma`` record: each window is ``(kind, window
+    index, bytes, addr, win_start)``, timed at the first one's start."""
+    tracer.emit(windows[0][4], "nvmc.dma", "op", owner=owner, cmd=cmd,
+                budget=4096,
+                windows=tuple((kind, index, nbytes, nbytes, addr, start,
+                               start + 900_000, start + 32_500)
+                              for kind, index, nbytes, addr, start
+                              in windows))
+
+
 class TestBusRaceSanitizer:
     def test_ca_overlap_between_masters_raises(self):
         tracer, _ = strict(BusRaceSanitizer())
@@ -79,9 +90,7 @@ class TestCoherenceSanitizer:
         tracer.emit(10, "nvdc.dirty", "page 3", owner="nvmc#0",
                     page=3, slot=1, addr=4096)
         with pytest.raises(SanitizerViolation) as exc:
-            tracer.emit(20, "nvmc.dma", "evict", owner="nvmc#0", cmd=1,
-                        kind="evict", window=0, bytes=4096, budget=4096,
-                        addr=4096, win_start=0, win_end=900_000, end_ps=20)
+            dma_op(tracer, ("evict", 0, 4096, 4096, 20))
         assert exc.value.rule == "dirty-evict"
 
     def test_flushed_evict_is_fine(self):
@@ -95,9 +104,7 @@ class TestCoherenceSanitizer:
                     addr=4096, bytes=4096, slot=1)
         tracer.emit(17, "cp.post", "WRITEBACK", owner="nvmc#0", cmd=1,
                     slot=0, opcode="WRITEBACK", phase="ODD", depth=1)
-        tracer.emit(20, "nvmc.dma", "evict", owner="nvmc#0", cmd=1,
-                    kind="evict", window=0, bytes=4096, budget=4096,
-                    addr=4096, win_start=0, win_end=900_000, end_ps=20)
+        dma_op(tracer, ("evict", 0, 4096, 4096, 20))
         assert not suite.violations
 
     def test_unfenced_doorbell_raises(self):
@@ -111,9 +118,7 @@ class TestCoherenceSanitizer:
     def test_stale_fill_without_invalidate_raises(self):
         tracer, _ = strict(CoherenceSanitizer())
         self.attach(tracer)
-        tracer.emit(10, "nvmc.dma", "fill", owner="nvmc#0", cmd=1,
-                    kind="fill", window=0, bytes=4096, budget=4096,
-                    addr=8192, win_start=0, win_end=900_000, end_ps=10)
+        dma_op(tracer, ("fill", 0, 4096, 8192, 10))
         with pytest.raises(SanitizerViolation) as exc:
             tracer.emit(20, "cp.post", "NOP", owner="nvmc#0", cmd=2,
                         slot=0, opcode="NOP", phase="EVEN", depth=1)
@@ -123,9 +128,7 @@ class TestCoherenceSanitizer:
         tracer = Tracer(enabled=True)
         suite = SanitizerSuite([CoherenceSanitizer()]).attach(tracer)
         self.attach(tracer)
-        tracer.emit(10, "nvmc.dma", "fill", owner="nvmc#0", cmd=1,
-                    kind="fill", window=0, bytes=4096, budget=4096,
-                    addr=8192, win_start=0, win_end=900_000, end_ps=10)
+        dma_op(tracer, ("fill", 0, 4096, 8192, 10))
         suite.detach()
         assert [v.rule for v in suite.violations] == ["stale-fill"]
 
@@ -134,9 +137,7 @@ class TestCoherenceSanitizer:
         self.attach(tracer, coherent=False)
         tracer.emit(10, "nvdc.dirty", "page 3", owner="nvmc#0",
                     page=3, slot=1, addr=4096)
-        tracer.emit(20, "nvmc.dma", "evict", owner="nvmc#0", cmd=1,
-                    kind="evict", window=0, bytes=4096, budget=4096,
-                    addr=4096, win_start=0, win_end=900_000, end_ps=20)
+        dma_op(tracer, ("evict", 0, 4096, 4096, 20))
         assert not suite.violations
 
 
@@ -161,24 +162,16 @@ class TestProtocolSanitizer:
 
     def test_window_budget_overflow_raises(self):
         tracer, _ = strict(ProtocolSanitizer())
-        tracer.emit(0, "nvmc.dma", "fill", owner="nvmc#0", cmd=1,
-                    kind="fill", window=7, bytes=4096, budget=4096,
-                    addr=0, win_start=0, win_end=900_000, end_ps=5)
+        dma_op(tracer, ("fill", 7, 4096, 0, 0))
         with pytest.raises(SanitizerViolation) as exc:
-            tracer.emit(10, "nvmc.dma", "evict", owner="nvmc#0", cmd=1,
-                        kind="evict", window=7, bytes=4096, budget=4096,
-                        addr=4096, win_start=0, win_end=900_000, end_ps=15)
+            dma_op(tracer, ("evict", 7, 4096, 4096, 10))
         assert exc.value.rule == "window-budget"
 
     def test_window_shared_by_two_commands_raises(self):
         tracer, _ = strict(ProtocolSanitizer())
-        tracer.emit(0, "nvmc.dma", "poll", owner="nvmc#0", cmd=1,
-                    kind="poll", window=7, bytes=64, budget=4096,
-                    addr=-1, win_start=0, win_end=900_000, end_ps=5)
+        dma_op(tracer, ("poll", 7, 64, -1, 0), cmd=1)
         with pytest.raises(SanitizerViolation) as exc:
-            tracer.emit(10, "nvmc.dma", "poll", owner="nvmc#0", cmd=2,
-                        kind="poll", window=7, bytes=64, budget=4096,
-                        addr=-1, win_start=0, win_end=900_000, end_ps=15)
+            dma_op(tracer, ("poll", 7, 64, -1, 10), cmd=2)
         assert exc.value.rule == "window-sharing"
 
     def test_refresh_with_open_bank_raises(self):
@@ -218,15 +211,15 @@ class TestTimeSanitizer:
 
     def test_time_regression_raises(self):
         tracer, _ = strict(TimeSanitizer())
-        tracer.emit(100, "nvmc.dma", "fill", owner="nvmc#0")
+        dma_op(tracer, ("fill", 1, 4096, 0, 100))
         with pytest.raises(SanitizerViolation) as exc:
-            tracer.emit(50, "nvmc.dma", "ack", owner="nvmc#0")
+            dma_op(tracer, ("ack", 0, 64, -1, 50))
         assert exc.value.rule == "time-regression"
 
     def test_independent_owners_do_not_interfere(self):
         tracer, suite = strict(TimeSanitizer())
-        tracer.emit(100, "nvmc.dma", "fill", owner="nvmc#0")
-        tracer.emit(50, "nvmc.dma", "fill", owner="nvmc#1")
+        dma_op(tracer, ("fill", 1, 4096, 0, 100), owner="nvmc#0")
+        dma_op(tracer, ("fill", 0, 4096, 0, 50), owner="nvmc#1")
         assert not suite.violations
 
 

@@ -558,8 +558,9 @@ def test_coherence_finalize_order_is_hash_seed_independent():
         sanitizer.observe(TraceRecord(0, "nvdc.attach", "attach",
                                       {"owner": owner, "coherent": True}))
         sanitizer.observe(TraceRecord(1, "nvmc.dma", "fill",
-                                      {"owner": owner, "kind": "fill",
-                                       "addr": 4096}))
+                                      {"owner": owner, "windows": (
+                                          ("fill", 0, 4096, 4096, 4096, 1,
+                                           900, 100),)}))
     sanitizer.finalize()
     owners = [v.record.fields["owner"] for v in sanitizer.violations]
     assert owners == ["aaa", "zzz"]

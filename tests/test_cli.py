@@ -71,6 +71,9 @@ USAGE_ERRORS = {
     "fio --nops 0": "nops must be >= 1, got 0",
     "validate --iterations 0": "iterations must be >= 1, got 0",
     "validate --iterations -1": "iterations must be >= 1, got -1",
+    "check run --sanitize fig8 --capacity 0": "capacity must be >= 1, got 0",
+    "check run --sanitize fig8 --capacity -5":
+        "capacity must be >= 1, got -5",
 }
 
 

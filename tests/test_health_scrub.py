@@ -85,21 +85,27 @@ def _scrub_record(window: int, *, owner: str = "nvmc-t",
 
 
 def _dma_record(window: int, *, owner: str = "nvmc-t") -> TraceRecord:
+    """One CP op's ``nvmc.dma`` record, its fill in ``window``."""
+    carried = tuple((kind, index, nbytes, nbytes, -1, 0, 900, 100)
+                    for kind, index, nbytes in (("poll", window - 2, 64),
+                                                ("fill", window, 4096),
+                                                ("ack", window + 2, 64)))
     return TraceRecord(time_ps=0, category="nvmc.dma", message="burst",
-                       fields={"owner": owner, "window": window})
+                       fields={"owner": owner, "cmd": 1, "budget": 4096,
+                               "windows": carried})
 
 
 class TestScrubSanitizer:
     def test_clean_stream_has_no_violations(self):
         sanitizer = ScrubSanitizer()
-        sanitizer.feed(_dma_record(3))
-        sanitizer.feed(_scrub_record(4))
-        sanitizer.feed(_dma_record(5))
+        sanitizer.observe(_dma_record(3))
+        sanitizer.observe(_scrub_record(4))
+        sanitizer.observe(_dma_record(5))
         assert sanitizer.violations == []
 
     def test_bus_span_escaping_its_window_is_flagged(self):
         sanitizer = ScrubSanitizer()
-        sanitizer.feed(_scrub_record(4, end=25_000))  # past win_end
+        sanitizer.observe(_scrub_record(4, end=25_000))  # past win_end
         assert [v.rule for v in sanitizer.violations] == \
             ["scrub-window-escape"]
 
@@ -110,11 +116,11 @@ class TestScrubSanitizer:
         if not scrub_first:
             records.reverse()
         for record in records:
-            sanitizer.feed(record)
+            sanitizer.observe(record)
         assert [v.rule for v in sanitizer.violations] == ["scrub-collision"]
 
     def test_owners_do_not_cross_contaminate(self):
         sanitizer = ScrubSanitizer()
-        sanitizer.feed(_dma_record(9, owner="nvmc-a"))
-        sanitizer.feed(_scrub_record(9, owner="nvmc-b"))
+        sanitizer.observe(_dma_record(9, owner="nvmc-a"))
+        sanitizer.observe(_scrub_record(9, owner="nvmc-b"))
         assert sanitizer.violations == []

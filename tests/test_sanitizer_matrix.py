@@ -8,6 +8,11 @@ else; its clean twin, the same stream without the defect, must produce
 nothing at all.  Real models drive the cases a model hook exists for
 (the rogue NVMC agent, the ``skip_coherence`` driver); the others are
 synthetic record streams shaped like the real emitters' records.
+
+An ``nvmc.dma`` record carries every refresh window one CP operation
+moved, so a second set of controls seeds each per-window defect in a
+window other than the one a sanitizer reading only one carried window
+would see.
 """
 
 from __future__ import annotations
@@ -26,15 +31,18 @@ BUS = "bus#0"
 BUDGET = 4096
 
 
-def dma(tracer, time_ps, window, cmd, nbytes=64, kind="poll", addr=-1,
-        owner=OWNER):
-    """One ``nvmc.dma`` record as ``NVMCModel._dma_window`` emits it."""
-    win_start = 1_000_000 * (window + 1)
-    tracer.emit(time_ps, "nvmc.dma", f"{kind} {nbytes}B in window {window}",
-                owner=owner, cmd=cmd, kind=kind, window=window,
-                bytes=nbytes, requested=nbytes, budget=BUDGET, addr=addr,
-                win_start=win_start, win_end=win_start + 900_000,
-                end_ps=win_start + 32_500)
+def window(index, nbytes=64, kind="poll", addr=-1):
+    """One carried window, in ``DMA_WINDOW_FIELDS`` order."""
+    win_start = 1_000_000 * (index + 1)
+    return (kind, index, nbytes, nbytes, addr, win_start,
+            win_start + 900_000, win_start + 32_500)
+
+
+def dma(tracer, cmd, *windows, owner=OWNER):
+    """One CP op's ``nvmc.dma`` record as ``NVMCModel.submit`` emits it:
+    timed at its first window's start, carrying every window."""
+    tracer.emit(windows[0][5], "nvmc.dma", f"{len(windows)} windows",
+                owner=owner, cmd=cmd, budget=BUDGET, windows=windows)
 
 
 def post(tracer, time_ps, cmd, opcode="NOP", depth=1):
@@ -102,7 +110,7 @@ def dirty_evict(tracer, defect):
                 slot=1, addr=4096)
     bracket(tracer, 15, addr=8192 if defect else 4096)
     post(tracer, 17, cmd=1, opcode="WRITEBACK")
-    dma(tracer, 20, window=0, cmd=1, nbytes=4096, kind="evict", addr=4096)
+    dma(tracer, 1, window(0, 4096, "evict", addr=4096))
     ack(tracer, 30, cmd=1, opcode="WRITEBACK")
 
 
@@ -147,14 +155,13 @@ def ack_without_post(tracer, defect):
 
 
 def window_budget(tracer, defect):
-    dma(tracer, 0, window=7, cmd=1, nbytes=4096 if defect else 2048,
-        kind="fill", addr=0)
-    dma(tracer, 10, window=7, cmd=1, nbytes=2048, kind="fill", addr=0)
+    dma(tracer, 1, window(7, 4096 if defect else 2048, "fill", addr=0))
+    dma(tracer, 1, window(7, 2048, "fill", addr=0))
 
 
 def window_sharing(tracer, defect):
-    dma(tracer, 0, window=7, cmd=1)
-    dma(tracer, 10, window=7 if defect else 8, cmd=2)
+    dma(tracer, 1, window(7))
+    dma(tracer, 2, window(7 if defect else 8))
 
 
 def ref_open_banks(tracer, defect):
@@ -172,7 +179,7 @@ def scrub_window_escape(tracer, defect):
 
 
 def scrub_collision(tracer, defect):
-    dma(tracer, 0, window=5, cmd=1)
+    dma(tracer, 1, window(5))
     scrub(tracer, window=5 if defect else 6)
 
 
@@ -229,6 +236,64 @@ MATRIX = {
 }
 
 
+# -- Carried windows ---------------------------------------------------------------
+
+
+def cachefill(tracer, ack_index=7):
+    """A CACHEFILL's record: poll, fill and ack windows."""
+    dma(tracer, 1, window(3), window(5, 4096, "fill", addr=8192),
+        window(ack_index, kind="ack"))
+
+
+def ack_window_budget(tracer, defect):
+    """The ack reuses the fill window's index: 4096 + 64 bytes."""
+    cachefill(tracer, ack_index=5 if defect else 7)
+
+
+def poll_window_scrub_collision(tracer, defect):
+    """The scrub claims a window the op's poll used."""
+    cachefill(tracer)
+    scrub(tracer, window=3 if defect else 4)
+
+
+def fill_window_scrub_collision(tracer, defect):
+    """The op's fill lands in a window the scrub claimed before."""
+    scrub(tracer, window=5 if defect else 4)
+    cachefill(tracer)
+
+
+def op_time_regression(tracer, defect):
+    """The op's ack window starts before its fill window."""
+    cachefill(tracer, ack_index=4 if defect else 7)
+
+
+def merged_dirty_evict(tracer, defect):
+    """A MERGED op evicts a dirty slot, then fills another one."""
+    attach_coherent(tracer)
+    tracer.emit(10, "nvdc.dirty", "page 3 dirtied", owner=OWNER, page=3,
+                slot=1, addr=4096)
+    bracket(tracer, 15, addr=8192 if defect else 4096)
+    post(tracer, 17, cmd=1, opcode="MERGED")
+    dma(tracer, 1, window(0), window(1, 4096, "evict", addr=4096),
+        window(2, 4096, "fill", addr=12288), window(3, kind="ack"))
+    ack(tracer, 5_000_000, cmd=1, opcode="MERGED")
+    tracer.emit(5_000_000, "nvdc.invalidate", "slot 2", owner=OWNER,
+                addr=12288, bytes=4096, slot=2)
+
+
+#: control -> (sanitizer name, rule, drive(tracer, defect)): per-window
+#: rules seeded in a carried window other than the record's first.
+CARRIED = {
+    "ack-window-budget": ("Protocol", "window-budget", ack_window_budget),
+    "poll-window-scrub-collision": ("Scrub", "scrub-collision",
+                                    poll_window_scrub_collision),
+    "fill-window-scrub-collision": ("Scrub", "scrub-collision",
+                                    fill_window_scrub_collision),
+    "op-time-regression": ("Time", "time-regression", op_time_regression),
+    "merged-dirty-evict": ("Coherence", "dirty-evict", merged_dirty_evict),
+}
+
+
 def observed(drive, defect: bool) -> list[tuple[str, str]]:
     """(sanitizer, rule) of everything the default suite reports for
     one driven stream, the end-of-run finalizers and ``certify``
@@ -258,6 +323,46 @@ def test_seeded_defect_trips_its_rule_only(rule):
 def test_clean_twin_is_quiet(rule):
     _, drive = MATRIX[rule]
     assert observed(drive, defect=False) == []
+
+
+@pytest.mark.sanitizer_exempt
+@pytest.mark.parametrize("control", sorted(CARRIED))
+def test_carried_window_defect_trips_its_rule_only(control):
+    sanitizer, rule, drive = CARRIED[control]
+    assert observed(drive, defect=True) == [(sanitizer, rule)]
+
+
+@pytest.mark.parametrize("control", sorted(CARRIED))
+def test_carried_window_clean_twin_is_quiet(control):
+    _, _, drive = CARRIED[control]
+    assert observed(drive, defect=False) == []
+
+
+@pytest.mark.sanitizer_exempt
+def test_power_cut_op_reports_the_windows_it_moved():
+    """A cut at a CACHEFILL's fill window still emits the op's record,
+    carrying the poll window the op moved before the cut."""
+    from repro.device.nvdimmc import NVDIMMCSystem
+    from repro.errors import PowerLossInterrupt
+    from repro.faults import FaultClock
+    from repro.nvmc.cp import CPCommand, Opcode
+    from repro.nvmc.nvmc import DMA_WINDOW_FIELDS
+    from repro.units import mb
+    tracer = Tracer(enabled=True)
+    with use_tracer(tracer):
+        system = NVDIMMCSystem(cache_bytes=mb(2), device_bytes=mb(32))
+    nvmc = system.nvmc
+    nvmc.fault_clock = FaultClock().cut_on_visit(2, site="nvmc.dma")
+    command = CPCommand(nvmc.next_phase(), Opcode.CACHEFILL, dram_slot=1,
+                        nand_page=0)
+    with pytest.raises(PowerLossInterrupt):
+        nvmc.submit(command, 0)
+    [record] = [r for r in tracer.records if r.category == "nvmc.dma"]
+    assert tracer.records[-1] is record   # no ack: the op never finished
+    [carried] = record.fields["windows"]
+    window = dict(zip(DMA_WINDOW_FIELDS, carried))
+    assert (window["kind"], window["bytes"]) == ("poll", 64)
+    assert record.time_ps == window["win_start"]
 
 
 def declared_rules() -> set[str]:

@@ -7,10 +7,16 @@ replaced, kept verbatim as reference oracles: each prune walked the
 table's deleted slots (``del d[next(iter(d))]``), which is what made
 full tables slow.  A hypothesis property feeds random multi-owner
 ``nvmc.dma``, ``health.scrub``, ``cp.post`` and ``cp.ack`` streams to
-both through one tracer, with ``WINDOW_MEMORY`` shrunk so pruning fires
-and pruned windows come back, and requires the same violations: rule,
-message, details, record, context and order, also across a snapshot
-round trip part-way through the stream.
+both, with ``WINDOW_MEMORY`` shrunk so pruning fires and pruned windows
+come back, and requires the same violations: rule, message, details,
+record and order, also across a snapshot round trip part-way through
+the stream.
+
+The oracles read one refresh window per ``nvmc.dma`` record, the format
+the live sanitizers replaced with one record per CP operation carrying
+its windows.  They are fed each carried window at a time, as the record
+the emitter used to build for it; a violation they raise on such a
+record names the operation's record.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.check import sanitizers as live
 from repro.check.sanitizer import Sanitizer, SanitizerSuite
+from repro.nvmc.nvmc import DMA_WINDOW_FIELDS
 from repro.sim.trace import TraceRecord, Tracer
 
 
@@ -223,8 +230,10 @@ OWNERS = ("nvmc#0", "nvmc#1", "nvmc#2")
 BUDGET = 4096
 
 EVENTS = st.lists(st.one_of(
-    st.tuples(st.just("dma"), st.sampled_from(OWNERS), st.integers(0, 9),
-              st.integers(0, 3), st.sampled_from((64, 2048, BUDGET))),
+    st.tuples(st.just("dma"), st.sampled_from(OWNERS), st.integers(0, 3),
+              st.lists(st.tuples(st.integers(0, 9),
+                                 st.sampled_from((64, 2048, BUDGET))),
+                       min_size=1, max_size=3)),
     st.tuples(st.just("scrub"), st.sampled_from(OWNERS), st.integers(0, 9),
               st.booleans()),
     st.tuples(st.just("post"), st.sampled_from(OWNERS), st.integers(1, 2)),
@@ -235,12 +244,13 @@ EVENTS = st.lists(st.one_of(
 def emit(tracer: Tracer, time_ps: int, event: tuple) -> None:
     kind, owner = event[0], event[1]
     if kind == "dma":
-        _, _, window, cmd, nbytes = event
-        tracer.emit(time_ps, "nvmc.dma", f"poll {nbytes}B in window {window}",
-                    owner=owner, cmd=cmd, kind="poll", window=window,
-                    bytes=nbytes, requested=nbytes, budget=BUDGET, addr=-1,
-                    win_start=window * 1000, win_end=window * 1000 + 900,
-                    end_ps=window * 1000 + 100)
+        _, _, cmd, windows = event
+        tracer.emit(time_ps, "nvmc.dma", f"{len(windows)} windows",
+                    owner=owner, cmd=cmd, budget=BUDGET,
+                    windows=tuple(("poll", window, nbytes, nbytes, -1,
+                                   window * 1000, window * 1000 + 900,
+                                   window * 1000 + 100)
+                                  for window, nbytes in windows))
     elif kind == "scrub":
         _, _, window, escape = event
         win_start = window * 1000
@@ -257,9 +267,34 @@ def emit(tracer: Tracer, time_ps: int, event: tuple) -> None:
                     slot=0, opcode="NOP", phase="ODD", status=0)
 
 
-def seen(suite: SanitizerSuite) -> list[tuple]:
-    return [(str(v), v.rule, v.details, v.record, v.context)
-            for v in suite.violations]
+def one_window_at_a_time(records, op_of: dict) -> list[TraceRecord]:
+    """The oracles' input: each ``nvmc.dma`` record as one record per
+    carried window, in the fields the emitter gave such a record;
+    ``op_of`` maps each built record's id to the record it came from."""
+    fed = []
+    for record in records:
+        if record.category != "nvmc.dma":
+            fed.append(record)
+            continue
+        fields = record.fields
+        for entry in fields["windows"]:
+            window = dict(zip(DMA_WINDOW_FIELDS, entry))
+            one = TraceRecord(window["win_start"], "nvmc.dma",
+                              "{kind} {bytes}B in window {window}".format(
+                                  **window),
+                              {"owner": fields["owner"],
+                               "cmd": fields["cmd"],
+                               "budget": fields["budget"], **window})
+            op_of[id(one)] = record
+            fed.append(one)
+    return fed
+
+
+def seen(sanitizers, op_of: dict | None = None) -> list[tuple]:
+    """Every violation, with the operation record it names."""
+    op_of = op_of or {}
+    return [(str(v), v.rule, v.details, op_of.get(id(v.record), v.record))
+            for sanitizer in sanitizers for v in sanitizer.violations]
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,12 +307,14 @@ def test_pruned_tables_match_dict_fifo_oracles(events, memory, split):
         sanitizer.WINDOW_MEMORY = memory
     tracer = Tracer(enabled=True)
     fast_suite = SanitizerSuite(fast).attach(tracer)
-    oracle_suite = SanitizerSuite(oracle).attach(tracer)
     for time_ps, event in enumerate(events):
         emit(tracer, time_ps, event)
     fast_suite.detach()
-    oracle_suite.detach()
-    assert seen(fast_suite) == seen(oracle_suite)
+    op_of: dict[int, TraceRecord] = {}
+    for record in one_window_at_a_time(tracer.records, op_of):
+        for sanitizer in oracle:
+            sanitizer.observe(record)
+    assert seen(fast) == seen(oracle, op_of)
 
     # The same stream with a snapshot round trip part-way through (a
     # snapshot carries the tables; see _WindowFIFO.__reduce__).
@@ -307,15 +344,17 @@ def test_revisited_pruned_window_starts_a_fresh_budget():
     budget."""
     tracer = Tracer(enabled=True)
     for time_ps, window in enumerate((0, 1, 2, 0, 2)):
-        emit(tracer, time_ps, ("dma", OWNERS[0], window, 0, 3000))
+        emit(tracer, time_ps, ("dma", OWNERS[0], 0, [(window, 3000)]))
     fast, oracle = live.ProtocolSanitizer(), ProtocolSanitizer()
     fast.WINDOW_MEMORY = oracle.WINDOW_MEMORY = 2
     for record in tracer.records[:2]:
         fast.observe(record)
+    for record in one_window_at_a_time(tracer.records[:2], {}):
         oracle.observe(record)
     fast = pickle.loads(pickle.dumps(fast))
     for record in tracer.records[2:]:
         fast.observe(record)
+    for record in one_window_at_a_time(tracer.records[2:], {}):
         oracle.observe(record)
     # Window 0 was pruned by window 2 (fresh budget on revisit); window
     # 2 was still remembered, so its second 3000 bytes overflow.

@@ -78,10 +78,12 @@ PINNED = {
                "owner=nvmc#N page=0 slot=0 start_ps=1000000",
     "nvdc.sfence": "[   60.000 us] nvdc.sfence: slot 0 owner=nvmc#N "
                    "addr=8192 bytes=4096 slot=0",
-    "nvmc.dma": "[   62.750 us] nvmc.dma: poll 64B in window 7 "
-                "owner=nvmc#N cmd=1 kind=poll window=7 bytes=64 "
-                "requested=64 budget=4096 addr=-1 win_start=62750000 "
-                "win_end=63650000 end_ps=62782500",
+    "nvmc.dma": "[   62.750 us] nvmc.dma: poll 64B in window 7, evict "
+                "4096B in window 8, ack 64B in window 9 owner=nvmc#N "
+                "cmd=1 budget=4096 windows=(('poll', 7, 64, 64, -1, "
+                "62750000, 63650000, 62782500), ('evict', 8, 4096, 4096, "
+                "8192, 70550000, 71450000, 70897500), ('ack', 9, 64, 64, "
+                "-1, 78350000, 79250000, 78382500))",
     "power.drain/begin": "[  905.383 us] power.drain: battery drain begins "
                          "owner=nvmc#N active=True mapped=58",
     "power.drain/end": "[  925.538 us] power.drain: battery drain ends "
