@@ -29,8 +29,7 @@ Campaign acceptance, checked from the report alone:
   strictly lower mean wear spread than the ``greedy`` baseline.
 
 Determinism: a pure function of the config — reruns render
-byte-identical reports, independent of ``PYTHONHASHSEED``, with or
-without snapshot acceleration.
+byte-identical reports, independent of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -110,10 +109,6 @@ class AgingConfig:
     gc_headroom: int = 20
     #: Idle refresh windows patrolled per epoch.
     scrub_windows: int = 24
-    #: Snapshot-accelerated epochs (capture/restore each boundary) and
-    #: shard forks from one shared prefix; ``False`` reruns everything
-    #: from zero — byte-identical reports either way.
-    snapshot: bool = True
 
     def __post_init__(self) -> None:
         for strategy in self.strategies:
@@ -622,8 +617,8 @@ def _age_shard(config: AgingConfig, outcome: ShardOutcome,
 
     ``state`` is the shard's mutable root set (``system``, ``leg``,
     ``tracer``, ``suite``, ``rng``, ``t``); the *final* root set is
-    returned — with snapshots on, each epoch boundary captures the set,
-    restores it, and *continues on the restored clone*: the closed-form
+    returned — each epoch boundary captures the set, restores it, and
+    *continues on the restored clone*: the closed-form
     fast-forward lands on the snapshot, and the next epoch proves the
     restored graph carried every aging field (read counts, retention
     clocks, victim strategy, block ages) faithfully.
@@ -645,9 +640,8 @@ def _age_shard(config: AgingConfig, outcome: ShardOutcome,
                     system.nvmc.ready_ps)
             t = leg.verify(t, log)
         state["t"] = t
-        if config.snapshot:
-            state = SimSnapshot.capture(state, label="aging-epoch").restore()
-            system = state["system"]
+        state = SimSnapshot.capture(state, label="aging-epoch").restore()
+        system = state["system"]
         with use_tracer(state["tracer"]):
             log.retired_free_blocks = _fast_forward(
                 system, baseline, outcome.wear_accel, years)
@@ -695,56 +689,31 @@ def run_aging(config: AgingConfig,
               ) -> AgingResult:
     """Age the whole population and aggregate the fleet telemetry.
 
-    With ``config.snapshot`` each strategy runs its prefix (bring-up +
-    fill, which consumes no workload RNG) once, captures it, and forks
-    every shard from the capture with an independent media seed and
-    workload RNG; without, every shard reruns the prefix from zero.
-    Both paths render byte-identical reports — the soak/fleet
-    snapshot-equivalence contract, extended to aging.
+    Each strategy runs its prefix (bring-up + fill, which consumes no
+    workload RNG) once, captures it, and forks every shard from the
+    capture with an independent media seed and workload RNG.  The
+    prefix's own suite is a template no run continues, so it is not
+    counted: every shard counts the violations its forked suite holds,
+    the prefix's among them.
     """
     result = AgingResult(config=config)
     for strategy in config.strategies:
         tracer = Tracer(enabled=True, archive=False)
         suite = default_suite(strict=False)
-        if config.snapshot:
-            with use_tracer(tracer):
-                with suite.attach(tracer):
-                    system, leg, t = _strategy_prefix(
-                        config, strategy, tracer)
-                    snap = SimSnapshot.capture(
-                        {"system": system, "leg": leg, "tracer": tracer,
-                         "suite": suite, "rng": None, "t": t},
-                        label="aging-epoch")
-            result.violations += len(suite.violations)
-            for shard in range(config.shard_count):
-                outcome = _shard_outcome(config, strategy, shard)
-                state = _fork_state(config, shard, snap)
-                state = _age_shard(config, outcome, state)
-                state["suite"].detach()
-                result.violations += len(state["suite"].violations)
-                result.shards.append(outcome)
-                if progress is not None:
-                    progress(outcome)
-            continue
-        # Legacy path: every shard reruns bring-up and fill from zero
-        # under the strategy's one shared suite.
         with use_tracer(tracer):
             with suite.attach(tracer):
-                for shard in range(config.shard_count):
-                    outcome = _shard_outcome(config, strategy, shard)
-                    system, leg, t = _strategy_prefix(
-                        config, strategy, tracer)
-                    system.nand.reseed(
-                        _campaign_seed(config.seed, "media", shard))
-                    state = {
-                        "system": system, "leg": leg, "tracer": tracer,
-                        "suite": suite, "t": t,
-                        "rng": random.Random(
-                            _campaign_seed(config.seed, "work", shard)),
-                    }
-                    _age_shard(config, outcome, state)
-                    result.shards.append(outcome)
-                    if progress is not None:
-                        progress(outcome)
-        result.violations += len(suite.violations)
+                system, leg, t = _strategy_prefix(config, strategy, tracer)
+                snap = SimSnapshot.capture(
+                    {"system": system, "leg": leg, "tracer": tracer,
+                     "suite": suite, "rng": None, "t": t},
+                    label="aging-epoch")
+        for shard in range(config.shard_count):
+            outcome = _shard_outcome(config, strategy, shard)
+            state = _fork_state(config, shard, snap)
+            state = _age_shard(config, outcome, state)
+            state["suite"].detach()
+            result.violations += len(state["suite"].violations)
+            result.shards.append(outcome)
+            if progress is not None:
+                progress(outcome)
     return result

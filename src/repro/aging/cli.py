@@ -27,7 +27,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     def run():
         config = AgingConfig(
             quick=args.quick, seed=args.seed, shards=args.shards,
-            max_epochs=args.epochs, snapshot=not args.no_snapshot)
+            max_epochs=args.epochs)
         mode = "quick" if config.quick else "full"
         print(f"repro age: {mode} campaign, {config.shard_count} shards x "
               f"{len(config.strategies)} strategies, "
@@ -73,8 +73,4 @@ def build_parser(sub: "argparse._SubParsersAction") -> None:
                             "(default: 8 quick / 14 full)")
     p_run.add_argument("--out", default=".",
                        help="directory for AGING_<timestamp>.json")
-    p_run.add_argument("--no-snapshot", action="store_true",
-                       help="age each shard on a freshly rebuilt module "
-                            "instead of forking the post-fill snapshot "
-                            "(slower; byte-identical report)")
     p_run.set_defaults(fn=cmd_run)

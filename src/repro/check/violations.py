@@ -22,6 +22,8 @@ class SanitizerViolation(ReproError):
     Attributes:
         sanitizer: name of the sanitizer that fired (``"BusRace"``...).
         rule: short machine-readable rule id (``"window-escape"``...).
+        message: the human-readable text after the ``[sanitizer:rule]``
+            prefix.
         record: the :class:`~repro.sim.trace.TraceRecord` that completed
             the violation, when one exists.
         context: recent records around the violation (the "offending
@@ -36,9 +38,18 @@ class SanitizerViolation(ReproError):
         super().__init__(f"[{sanitizer}:{rule}] {message}")
         self.sanitizer = sanitizer
         self.rule = rule
+        self.message = message
         self.record = record
         self.context = context
         self.details = details
+
+    def __reduce__(self):
+        # ``args`` holds only the formatted message, which the default
+        # exception reduce cannot rebuild from.  Snapshots carry the
+        # violations a suite has collected, so a fork must restore them.
+        return (_rebuild, (type(self), self.sanitizer, self.rule,
+                           self.message, self.record, self.context,
+                           self.details))
 
     def report(self) -> str:
         """Multi-line human-readable report with the trace window."""
@@ -50,3 +61,11 @@ class SanitizerViolation(ReproError):
             lines.append("  trace window (newest last):")
             lines.extend(f"    {r}" for r in self.context)
         return "\n".join(lines)
+
+
+def _rebuild(cls: type[SanitizerViolation], sanitizer: str, rule: str,
+             message: str, record: "TraceRecord | None",
+             context: "tuple[TraceRecord, ...]",
+             details: dict[str, Any]) -> SanitizerViolation:
+    return cls(sanitizer, rule, message, record=record, context=context,
+               **details)

@@ -27,8 +27,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
         mode = "quick" if args.quick else "full"
         print(f"repro soak: {mode} run, seed {args.seed}")
         return run_soak(seed=args.seed, quick=args.quick,
-                        p99_bound=args.p99_bound, progress=progress,
-                        snapshot=not args.no_snapshot)
+                        p99_bound=args.p99_bound, progress=progress)
 
     def summary(result) -> str:
         totals = result.totals()
@@ -63,8 +62,4 @@ def build_parser(sub: "argparse._SubParsersAction") -> None:
     parser.add_argument("--p99-bound", type=float,
                         default=DEFAULT_P99_BOUND,
                         help="max faulted/clean p99 latency ratio")
-    parser.add_argument("--no-snapshot", action="store_true",
-                        help="run the fault-free twin from zero instead of "
-                             "forking it from the shared prefix snapshot "
-                             "(reports are byte-identical either way)")
     parser.set_defaults(fn=cmd_soak)

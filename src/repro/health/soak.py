@@ -300,34 +300,18 @@ def _build_system(seed: int, tracer: Tracer) -> NVDIMMCSystem:
     return system
 
 
-def _run_twin(seed: int, footprint: int, steps: int,
-              tracer: Tracer) -> list[int]:
-    """The fault-free twin: the baseline+storm schedule, nothing armed."""
-    rng = random.Random(seed)
-    system = _build_system(seed, tracer)
-    leg = _Leg(system.driver, {}, footprint)
-    scratch = SoakRound(name="twin")
-    t = round(us(1))
-    t = leg.seq_write(t, 0, scratch, sample=True)
-    t = leg.rand_rw(t, rng, steps, 1_000, scratch, sample=True)
-    t = leg.rand_rw(t, rng, steps, 2_000, scratch, sample=True)
-    return leg.latencies
-
-
 def run_soak(seed: int = 0, quick: bool = False,
              p99_bound: float = DEFAULT_P99_BOUND,
              progress: Callable[[SoakRound], None] | None = None,
-             snapshot: bool = True) -> SoakResult:
+             ) -> SoakResult:
     """Execute the five-round soak under a sanitized tracer.
 
-    ``snapshot=True`` (the default) runs the shared prefix — system
-    bring-up plus the sequential fill, which consumes no round RNG —
-    exactly once, captures a :class:`~repro.sim.snapshot.SimSnapshot`,
-    and *forks* the fault-free latency twin from the capture instead of
-    re-executing the prefix on a second system.  ``snapshot=False``
-    keeps the legacy run-the-twin-from-zero path; both render
-    byte-identical reports (the twin's prefix is deterministic, so
-    forking it and re-running it are the same simulation).
+    The shared prefix — system bring-up plus the sequential fill, which
+    consumes no round RNG — runs once and is captured as a
+    :class:`~repro.sim.snapshot.SimSnapshot`; the faulted rounds
+    continue it live and the fault-free latency twin forks from the
+    capture.  Each of the two runs counts the violations its own suite
+    holds, and the twin's suite already holds the prefix's.
     """
     soak_seed = zlib.crc32(f"{seed}:soak".encode("ascii"))
     footprint = FOOTPRINT_PAGES_QUICK if quick else FOOTPRINT_PAGES
@@ -336,18 +320,6 @@ def run_soak(seed: int = 0, quick: bool = False,
     result = SoakResult(seed=seed, quick=quick, p99_bound=p99_bound)
     tracer = Tracer(enabled=True, archive=False)
     suite = default_suite(strict=False)
-    if not snapshot:
-        with use_tracer(tracer):
-            with suite.attach(tracer):
-                twin_latencies = _run_twin(soak_seed, footprint, steps,
-                                           tracer)
-                _run_rounds(result, soak_seed, footprint, steps,
-                            scrub_windows, tracer, progress)
-        result.violations = len(suite.violations)
-        result.clean_p50_ps = _percentile(twin_latencies, 0.50)
-        result.clean_p99_ps = _percentile(twin_latencies, 0.99)
-        return result
-
     with use_tracer(tracer):
         with suite.attach(tracer):
             system, leg, rnd, t = _soak_prefix(soak_seed, footprint, tracer)
@@ -355,13 +327,10 @@ def run_soak(seed: int = 0, quick: bool = False,
                 {"system": system, "tracer": tracer, "suite": suite,
                  "leg": leg, "t": t},
                 label="soak-prefix")
-            _run_rounds_from(result, system, leg, rnd, t, soak_seed,
-                             footprint, steps, scrub_windows, progress)
-    twin_latencies = _fork_twin(snap, soak_seed, steps)
-    # The legacy path runs the prefix twice (once per system) under one
-    # suite; here the main run and the twin fork each observed it once,
-    # so the two suites together see the same record population.
-    result.violations = len(suite.violations) + result.violations
+            _run_rounds(result, system, leg, rnd, t, soak_seed, steps,
+                        scrub_windows, progress)
+    twin_latencies, twin_violations = _fork_twin(snap, soak_seed, steps)
+    result.violations = len(suite.violations) + twin_violations
     result.clean_p50_ps = _percentile(twin_latencies, 0.50)
     result.clean_p99_ps = _percentile(twin_latencies, 0.99)
     return result
@@ -380,39 +349,35 @@ def _soak_prefix(seed: int, footprint: int, tracer: Tracer,
     return system, leg, rnd, t
 
 
-def _fork_twin(snap: SimSnapshot, seed: int, steps: int) -> list[int]:
+def _fork_twin(snap: SimSnapshot, seed: int,
+               steps: int) -> tuple[list[int], int]:
     """The fault-free twin, forked from the shared prefix.
 
-    Mirrors :func:`_run_twin` past the fill: a fresh ``Random(seed)``
-    (the prefix consumed none of it) drives the two mixed legs; the
-    restored leg already carries the prefix latency samples.  The fork's
-    suite runs its finalizers so end-of-run invariants are checked for
-    the twin exactly as the legacy single-suite path did.
+    The baseline and cp-storm workload schedule with nothing armed: a
+    fresh ``Random(seed)`` (the prefix consumed none of it) drives the
+    two mixed legs; the restored leg already carries the prefix latency
+    samples.  The fork's suite runs its finalizers, so end-of-run
+    invariants are checked for the twin too.  Returns the latency
+    samples and the violations the fork's suite holds.
     """
     state = snap.restore()
     rng = random.Random(seed)
     leg = state["leg"]
+    suite = state["suite"]
     scratch = SoakRound(name="twin")
     t = state["t"]
     with use_tracer(state["tracer"]):
         t = leg.rand_rw(t, rng, steps, 1_000, scratch, sample=True)
         t = leg.rand_rw(t, rng, steps, 2_000, scratch, sample=True)
-        state["suite"].detach()
-    return leg.latencies
+        suite.detach()
+    return leg.latencies, len(suite.violations)
 
 
-def _run_rounds(result: SoakResult, seed: int, footprint: int, steps: int,
-                scrub_windows: int, tracer: Tracer,
+def _run_rounds(result: SoakResult, system: NVDIMMCSystem, leg: "_Leg",
+                rnd: SoakRound, t: int, seed: int, steps: int,
+                scrub_windows: int,
                 progress: Callable[[SoakRound], None] | None) -> None:
-    system, leg, rnd, t = _soak_prefix(seed, footprint, tracer)
-    _run_rounds_from(result, system, leg, rnd, t, seed, footprint, steps,
-                     scrub_windows, progress)
-
-
-def _run_rounds_from(result: SoakResult, system: NVDIMMCSystem,
-                     leg: "_Leg", rnd: SoakRound, t: int, seed: int,
-                     footprint: int, steps: int, scrub_windows: int,
-                     progress: Callable[[SoakRound], None] | None) -> None:
+    """The five rounds, continuing the prefix's system and leg live."""
     rng = random.Random(seed)
     monitor = system.health
     port = system.nvmc.faults

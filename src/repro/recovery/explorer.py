@@ -32,18 +32,20 @@ byte-identical across runs.
 Snapshot-based sweeping
 -----------------------
 
-By default the sweep is O(run + cuts x tail), not O(cuts x run): the
-counting baseline doubles as a *golden run* that captures a
+The sweep is O(run + cuts x tail), not O(cuts x run): the counting
+baseline doubles as a *golden run* that captures a
 :class:`~repro.sim.snapshot.SimSnapshot` of the whole simulation graph
 (system, tracer, sanitizers, fault clock, workload RNG and ground-truth
 dicts) at periodic workload-op boundaries.  Each explored cut restores
 the nearest snapshot taken strictly before its event index, arms
 ``cut_on_event`` on the restored clock — ``events_seen`` travels with
 the fork, so absolute indices line up — and replays only the tail.
+The golden run and every fork share one set-up (:func:`_start`) and
+one tail (:func:`_run`), so a fork is the from-zero run with its
+prefix restored instead of re-executed.  A fork's suite already holds
+the prefix's sanitizer violations; each cut counts its own suite.
 Retained trace records are excluded from the captures (no report reads
 them; sanitizer observation state *is* captured), keeping blobs small.
-``snapshot=False`` (CLI ``--no-snapshot``) keeps the legacy
-re-run-from-zero path; both produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -248,10 +250,10 @@ def _workload_op(driver, rng: random.Random, acked: dict[int, int],
     """Execute workload operation ``op`` (0-based); returns the new time.
 
     Ops 0..FOOTPRINT_PAGES-1 are the sequential fill; the rest are the
-    mixed phase, drawing from ``rng`` exactly as the monolithic loop
-    did.  Op-granular execution is what makes the workload *resumable*:
-    a restored snapshot carries its op cursor and RNG, and replaying
-    from there is bit-identical to having run from zero.
+    mixed phase, drawing from ``rng``; every *acked* version is
+    recorded.  Op-granular execution is what makes the workload
+    *resumable*: a restored snapshot carries its op cursor and RNG, and
+    replaying from there is bit-identical to having run from zero.
     """
     if op < FOOTPRINT_PAGES:
         data = _payload(op, 0)
@@ -267,14 +269,6 @@ def _workload_op(driver, rng: random.Random, acked: dict[int, int],
         data = _payload(page, 1 + step)
         t = driver.write_page(page, data, t)
         _record_ack(acked, history, page, data)
-    return t
-
-
-def _workload(driver, rng: random.Random, acked: dict[int, int],
-              history: dict[int, set[int]], t: int) -> int:
-    """Seq-fill then mixed read/write; records every *acked* version."""
-    for op in range(_total_ops()):
-        t = _workload_op(driver, rng, acked, history, t, op)
     return t
 
 
@@ -331,165 +325,84 @@ def _verify(driver, acked: dict[int, int], history: dict[int, set[int]],
         outcome.remount_writable = False
 
 
-def _run_cut(seed: int,
-             cut_index: int | None) -> tuple[RunOutcome, int, int]:
-    """One deterministic run; ``cut_index=None`` is the counting baseline.
+def _start(seed: int) -> dict:
+    """A fresh run at workload op 0: the root set every run continues.
 
-    Returns ``(outcome, workload_events, total_events)`` — the event
-    counts are only meaningful for the baseline (a fired cut truncates
-    the run), but every run shares the same pre-cut prefix, so the
-    baseline's counts number the whole explorable space.
+    Keyed as the golden run's snapshots capture it, so a restored fork
+    and a fresh start are interchangeable inputs to :func:`_run`.
     """
     rng = random.Random(seed)
     tracer = Tracer(enabled=True, archive=False)
     suite = default_suite(strict=False)
-    outcome = RunOutcome(index=cut_index if cut_index is not None else 0)
+    clock = FaultClock()
     with use_tracer(tracer):
-        with suite.attach(tracer):
-            clock = FaultClock()
-            if cut_index is not None:
-                clock.cut_on_event(cut_index)
-            # No CPU cache: a cut abandons CP exchanges mid-bracket by
-            # design, which the coherence rules (correctly) flag; the
-            # §V-B bracket has its own dedicated coverage.
-            system = NVDIMMCSystem(cache_bytes=_CACHE_BYTES,
-                                   device_bytes=_DEVICE_BYTES,
-                                   with_cpu_cache=False,
-                                   seed=seed % 100003,
-                                   tracer=tracer)
-            system.nvmc.fault_clock = clock
-            system.nand.ftl.fault_clock = clock
-            acked: dict[int, int] = {}
-            history: dict[int, set[int]] = {}
-            durable: dict[int, int] = {}
-            # The hook survives into the drain (preload programs through
-            # the same FTL) and dies with it at the mount — exactly the
-            # durability boundary.
-            system.nand.ftl.on_commit = _CommitLog(durable)
-            t = round(us(1))
-            try:
-                t = _workload(system.driver, rng, acked, history, t)
-            except PowerLossInterrupt as exc:
-                outcome.fired = True
-                outcome.cut_site = exc.site or ""
-                t = max(t, exc.time_ps)
-            workload_events = clock.events_seen
-            power = PowerFailureModel(system.driver)
-            power.fault_clock = clock
-            try:
-                power.power_fail(now_ps=t)
-            except PowerLossInterrupt as exc:
-                outcome.fired = True
-                outcome.drain_interrupted = True
-                outcome.cut_site = exc.site or ""
-            total_events = clock.events_seen
-            mounted, mount_report = recover_mount(
-                system, journal=power.journal, now_ps=t)
-            outcome.torn_quarantined = mount_report.ftl.torn_quarantined
-            outcome.replay_recovered = mount_report.replay_recovered
-            outcome.replay_lost = mount_report.replay_lost
-            _verify(mounted.driver, acked, history, durable, t, outcome)
-    outcome.sanitizer_violations = len(suite.violations)
-    return outcome, workload_events, total_events
+        suite.attach(tracer)
+        # No CPU cache: a cut abandons CP exchanges mid-bracket by
+        # design, which the coherence rules (correctly) flag; the
+        # §V-B bracket has its own dedicated coverage.
+        system = NVDIMMCSystem(cache_bytes=_CACHE_BYTES,
+                               device_bytes=_DEVICE_BYTES,
+                               with_cpu_cache=False,
+                               seed=seed % 100003,
+                               tracer=tracer)
+    system.nvmc.fault_clock = clock
+    system.nand.ftl.fault_clock = clock
+    durable: dict[int, int] = {}
+    # The hook survives into the drain (preload programs through the
+    # same FTL) and dies with it at the mount — exactly the durability
+    # boundary.
+    system.nand.ftl.on_commit = _CommitLog(durable)
+    return {"system": system, "tracer": tracer, "suite": suite,
+            "clock": clock, "rng": rng, "acked": {}, "history": {},
+            "durable": durable, "t": round(us(1)), "op": 0}
 
 
-# -- the snapshot-based sweep --------------------------------------------------
+def _capture(roots: dict, t: int, op: int) -> SimSnapshot:
+    """Snapshot ``roots`` at the boundary before workload op ``op``."""
+    return SimSnapshot.capture(dict(roots, t=t, op=op),
+                               event_index=roots["clock"].events_seen,
+                               label=f"op{op}")
 
 
-def _golden_run(seed: int, cadence: int,
-                ) -> tuple[RunOutcome, int, int, SnapshotTimeline]:
-    """The counting baseline, doubling as the snapshot producer.
+def _run(roots: dict, outcome: RunOutcome,
+         timeline: SnapshotTimeline | None = None,
+         cadence: int = 1) -> tuple[int, int]:
+    """Run ``roots`` from its op cursor through the drain and the mount.
 
-    Identical simulation to ``_run_cut(seed, None)`` —
-    captures are pure reads — plus a :class:`SnapshotTimeline` entry
-    every ``cadence`` workload ops and one at the workload/drain
-    boundary (so in-drain cuts fork without re-running any workload).
+    A cut armed on the fault clock ends the workload or the drain where
+    it lands; the cold mount, :func:`_verify` and the suite's detach
+    follow either way, and ``outcome`` counts the violations the suite
+    then holds.  With a ``timeline`` (the golden run) the roots are
+    captured every ``cadence`` ops and once at the workload/drain
+    boundary, so in-drain cuts fork without re-running any workload.
+    Captures hold the sanitizer and live FSM state (they feed post-cut
+    behaviour) but not the tracer's record archive: forks start with
+    none.
+
+    Returns ``(workload_events, total_events)`` — only meaningful for
+    the uncut baseline (a fired cut truncates the run), but every run
+    shares the same pre-cut prefix, so the baseline's counts number
+    the whole explorable space.
     """
-    rng = random.Random(seed)
-    tracer = Tracer(enabled=True, archive=False)
-    suite = default_suite(strict=False)
-    outcome = RunOutcome(index=0)
-    timeline = SnapshotTimeline()
-    with use_tracer(tracer):
-        with suite.attach(tracer):
-            clock = FaultClock()
-            system = NVDIMMCSystem(cache_bytes=_CACHE_BYTES,
-                                   device_bytes=_DEVICE_BYTES,
-                                   with_cpu_cache=False,
-                                   seed=seed % 100003,
-                                   tracer=tracer)
-            system.nvmc.fault_clock = clock
-            system.nand.ftl.fault_clock = clock
-            acked: dict[int, int] = {}
-            history: dict[int, set[int]] = {}
-            durable: dict[int, int] = {}
-            system.nand.ftl.on_commit = _CommitLog(durable)
-            roots = {"system": system, "tracer": tracer, "suite": suite,
-                     "clock": clock, "rng": rng, "acked": acked,
-                     "history": history, "durable": durable}
-            t = round(us(1))
-            # Captures at workload-op boundaries hold the sanitizer state
-            # and the live FSM state (they feed post-cut behaviour) but
-            # not the tracer's record archive: forks start with none.
-            for op in range(_total_ops()):
-                if op % cadence == 0:
-                    timeline.add(SimSnapshot.capture(
-                        dict(roots, t=t, op=op),
-                        event_index=clock.events_seen, label=f"op{op}"))
-                t = _workload_op(system.driver, rng, acked, history, t, op)
-            workload_events = clock.events_seen
-            timeline.add(SimSnapshot.capture(
-                dict(roots, t=t, op=_total_ops()),
-                event_index=clock.events_seen, label=f"op{_total_ops()}"))
-            power = PowerFailureModel(system.driver)
-            power.fault_clock = clock
-            power.power_fail(now_ps=t)
-            total_events = clock.events_seen
-            mounted, mount_report = recover_mount(
-                system, journal=power.journal, now_ps=t)
-            outcome.torn_quarantined = mount_report.ftl.torn_quarantined
-            outcome.replay_recovered = mount_report.replay_recovered
-            outcome.replay_lost = mount_report.replay_lost
-            _verify(mounted.driver, acked, history, durable, t, outcome)
-    outcome.sanitizer_violations = len(suite.violations)
-    return outcome, workload_events, total_events, timeline
-
-
-def _replay_cut(timeline: SnapshotTimeline, cut_index: int) -> RunOutcome:
-    """Fork the golden run at the nearest snapshot and replay the tail.
-
-    The restored fault clock carries the prefix's ``events_seen``, so
-    arming ``cut_on_event(cut_index)`` on it fires at the same absolute
-    event a from-zero run would see; everything downstream (drain,
-    remount, verification, sanitizer finalize) mirrors ``_run_cut``.
-    """
-    snap = timeline.nearest(cut_index)
-    if snap is None:
-        raise RuntimeError(f"no snapshot precedes cut index {cut_index}")
-    state = snap.restore()
-    system = state["system"]
-    tracer = state["tracer"]
-    suite = state["suite"]
-    clock = state["clock"]
-    rng = state["rng"]
-    acked = state["acked"]
-    history = state["history"]
-    durable = state["durable"]
-    t = state["t"]
-    op = state["op"]
-    outcome = RunOutcome(index=cut_index)
-    clock.cut_on_event(cut_index)
+    system = roots["system"]
+    clock = roots["clock"]
+    suite = roots["suite"]
+    rng, acked, history = roots["rng"], roots["acked"], roots["history"]
+    t = roots["t"]
     total_ops = _total_ops()
-    with use_tracer(tracer):
+    with use_tracer(roots["tracer"]):
         try:
-            driver = system.driver
-            while op < total_ops:
-                t = _workload_op(driver, rng, acked, history, t, op)
-                op += 1
+            for op in range(roots["op"], total_ops):
+                if timeline is not None and op % cadence == 0:
+                    timeline.add(_capture(roots, t, op))
+                t = _workload_op(system.driver, rng, acked, history, t, op)
+            if timeline is not None:
+                timeline.add(_capture(roots, t, total_ops))
         except PowerLossInterrupt as exc:
             outcome.fired = True
             outcome.cut_site = exc.site or ""
             t = max(t, exc.time_ps)
+        workload_events = clock.events_seen
         power = PowerFailureModel(system.driver)
         power.fault_clock = clock
         try:
@@ -498,14 +411,43 @@ def _replay_cut(timeline: SnapshotTimeline, cut_index: int) -> RunOutcome:
             outcome.fired = True
             outcome.drain_interrupted = True
             outcome.cut_site = exc.site or ""
+        total_events = clock.events_seen
         mounted, mount_report = recover_mount(
             system, journal=power.journal, now_ps=t)
         outcome.torn_quarantined = mount_report.ftl.torn_quarantined
         outcome.replay_recovered = mount_report.replay_recovered
         outcome.replay_lost = mount_report.replay_lost
-        _verify(mounted.driver, acked, history, durable, t, outcome)
+        _verify(mounted.driver, acked, history, roots["durable"], t,
+                outcome)
         suite.detach()
     outcome.sanitizer_violations = len(suite.violations)
+    return workload_events, total_events
+
+
+def _golden_run(seed: int, cadence: int,
+                ) -> tuple[RunOutcome, int, int, SnapshotTimeline]:
+    """The uncut counting baseline, doubling as the snapshot producer."""
+    outcome = RunOutcome(index=0)
+    timeline = SnapshotTimeline()
+    workload_events, total_events = _run(_start(seed), outcome, timeline,
+                                         cadence)
+    return outcome, workload_events, total_events, timeline
+
+
+def _replay_cut(timeline: SnapshotTimeline, cut_index: int) -> RunOutcome:
+    """Fork the golden run at the nearest snapshot and replay the tail.
+
+    The restored fault clock carries the prefix's ``events_seen``, so
+    arming ``cut_on_event(cut_index)`` on it fires at the same absolute
+    event a from-zero run would see.
+    """
+    snap = timeline.nearest(cut_index)
+    if snap is None:
+        raise RuntimeError(f"no snapshot precedes cut index {cut_index}")
+    roots = snap.restore()
+    roots["clock"].cut_on_event(cut_index)
+    outcome = RunOutcome(index=cut_index)
+    _run(roots, outcome)
     return outcome
 
 
@@ -526,28 +468,19 @@ def _quick_points(total: int, workload_events: int) -> list[int]:
 
 def explore(seed: int = 0, quick: bool = False,
             progress: Callable[[int, int], None] | None = None,
-            snapshot: bool = True,
             ) -> ExplorerResult:
     """Sweep a power cut across the workload's whole event space.
 
     Full mode runs once per event index.  ``quick`` samples at a
     stride (>= :data:`QUICK_TARGET` points) and bisects every pair of
     neighbouring samples whose outcome signatures differ, until each
-    behaviour boundary is pinned to an exact event index.
-
-    ``snapshot=True`` (the default) explores each cut by forking the
-    golden run from the nearest op-boundary snapshot and replaying only
-    the tail; ``snapshot=False`` re-runs every cut from zero.  Both
-    paths produce byte-identical results.
+    behaviour boundary is pinned to an exact event index.  Every cut
+    forks the golden run from the nearest op-boundary snapshot and
+    replays only the tail.
     """
     result = ExplorerResult(seed=seed, quick=quick)
-    timeline: SnapshotTimeline | None = None
-    if snapshot:
-        cadence = SNAP_CADENCE_QUICK if quick else SNAP_CADENCE_FULL
-        baseline, workload_events, total, timeline = _golden_run(
-            seed, cadence)
-    else:
-        baseline, workload_events, total = _run_cut(seed, None)
+    cadence = SNAP_CADENCE_QUICK if quick else SNAP_CADENCE_FULL
+    baseline, workload_events, total, timeline = _golden_run(seed, cadence)
     result.total_events = total
     result.workload_events = workload_events
     # With no cut the drain completes: everything acked must be intact.
@@ -564,11 +497,7 @@ def explore(seed: int = 0, quick: bool = False,
     planned = len(pending)
     while pending:
         for index in pending:
-            if timeline is not None:
-                outcome = _replay_cut(timeline, index)
-            else:
-                outcome, _, _ = _run_cut(seed, index)
-            explored[index] = outcome
+            explored[index] = _replay_cut(timeline, index)
             if progress is not None:
                 progress(len(explored), planned)
         if not quick:

@@ -50,7 +50,6 @@ class Engine(SnapshotMixin):
         self._running = False
         self.events_executed = 0
         self._fault_clock: InjectionClock | None = None
-        self._forks: list[tuple[int, Callable[["Engine"], Any]]] = []
 
     def install_fault_clock(self, clock: InjectionClock | None) -> None:
         """Attach (or with ``None`` detach) a fault-injection clock.
@@ -63,37 +62,6 @@ class Engine(SnapshotMixin):
         (no-clock) dispatch path stays a single local ``is None`` test.
         """
         self._fault_clock = clock
-
-    def fork_at(self, event_index: int,
-                action: Callable[["Engine"], Any]) -> None:
-        """Run ``action(self)`` at the first dispatch boundary where the
-        installed fault clock's ``events_seen`` has reached
-        ``event_index``.
-
-        This is the snapshot hook point: dispatch boundaries are the
-        only engine states with no callback frame live on the stack, so
-        the whole simulation graph is quiescent and capturable.  The
-        index shares the :meth:`FaultClock.cut_on_event
-        <repro.faults.clock.FaultClock.cut_on_event>` numbering — a
-        capture from ``fork_at(i)`` can serve any cut armed at an index
-        greater than ``i``.  Actions registered out of order are
-        sorted; each fires exactly once.  Without an installed fault
-        clock there is no event numbering and the hooks stay dormant.
-        """
-        if event_index < 0:
-            raise SimulationError(
-                f"fork event index must be >= 0: {event_index}")
-        self._forks.append((event_index, action))
-        self._forks.sort(key=lambda pair: pair[0])
-
-    def _service_forks(self) -> None:
-        clock = self._fault_clock
-        if clock is None:
-            return
-        seen = getattr(clock, "events_seen", 0)
-        while self._forks and self._forks[0][0] <= seen:
-            _index, action = self._forks.pop(0)
-            action(self)
 
     @property
     def now(self) -> int:
@@ -150,8 +118,6 @@ class Engine(SnapshotMixin):
         """Execute the single next event.  Returns False if none remain."""
         if not self._heap:
             return False
-        if self._forks:
-            self._service_forks()
         if self._fault_clock is not None:
             self._fault_clock.check(self._heap[0][0], "engine")
         time_ps, _seq, callback = heapq.heappop(self._heap)
@@ -182,7 +148,6 @@ class Engine(SnapshotMixin):
         heap = self._heap
         pop = heapq.heappop
         clock = self._fault_clock
-        forks = self._forks
         executed = 0
         try:
             while heap:
@@ -190,8 +155,6 @@ class Engine(SnapshotMixin):
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                if forks:
-                    self._service_forks()
                 if clock is not None:
                     clock.check(heap[0][0], "engine")
                 time_ps, _seq, callback = pop(heap)

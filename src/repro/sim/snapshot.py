@@ -1,11 +1,14 @@
 """Copy-on-write simulation snapshots: capture state once, fork cheaply.
 
-The crash-point explorer and the soak harness both used to pay
-O(cuts x run): every power-cut index re-executed the whole workload
-from t=0, and every soak ran its fault-free twin end-to-end.  This
-module makes simulation state *forkable* instead: one golden run takes
-periodic :class:`SimSnapshot` captures, and each cut (or twin) resumes
-from the nearest capture, re-executing only the tail.
+Every multi-run harness forks its runs from captured state instead of
+re-running a shared prefix from t=0: crash cuts resume from the nearest
+of one golden run's periodic :class:`SimSnapshot` captures, re-executing
+only the tail; the soak's fault-free twin, each aging shard and each
+fleet shard fork from one captured prefix.  A captured prefix that
+other runs fork from is a *template*.  Each run counts the sanitizer
+violations its own suite holds after ``detach`` — a forked suite
+already holds the prefix's — so a template suite no run continues is
+not counted.
 
 Design
 ------

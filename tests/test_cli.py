@@ -95,3 +95,15 @@ class TestUsageErrors:
         assert err == "jobs must be an integer or 'auto', got 'zero'\n"
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["crash --quick --no-snapshot",
+                                     "soak --no-snapshot",
+                                     "age run --no-snapshot"])
+def test_no_snapshot_is_an_unrecognised_argument(command, capsys):
+    """crash, soak and age run have one way to run: forked from a
+    snapshot, with no rerun-from-zero option."""
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-snapshot" in capsys.readouterr().err

@@ -7,29 +7,25 @@ live, a :class:`SimSnapshot` captures the full root set, then phase B
 runs twice: once on the live (golden) state and once on a restored
 fork.  Goldens and forks must agree exactly.
 
-Also covered: hypothesis round-trips for the engine heap and the FTL,
-and end-to-end snapshot-vs-legacy byte-identity for ``repro soak`` and
-``repro crash``.
+Also covered: hypothesis round-trips for the engine heap and the FTL.
+The harnesses' forks are checked against from-zero runs in
+``tests/test_harness_fork_oracle.py``.
 """
 
-import json
 import random
 from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
-import repro.recovery.explorer as explorer_mod
 from repro.ddr.bus import SharedBus
 from repro.ddr.device import DRAMDevice
 from repro.ddr.imc import IntegratedMemoryController
 from repro.ddr.spec import NVDIMMC_1600
 from repro.device.nvdimmc import NVDIMMCSystem
-from repro.health.soak import run_soak
 from repro.nand.device import NANDDie
 from repro.nand.ftl import FlashTranslationLayer
 from repro.nand.spec import ZNANDSpec
 from repro.nvmc.agent import NVMCProtocolAgent
-from repro.recovery.explorer import explore
 from repro.sim import Engine
 from repro.sim.snapshot import SimSnapshot
 from repro.units import PAGE_4K, kb, mb, us
@@ -223,22 +219,3 @@ class TestFTLRoundtrip:
         golden_roots = {"ftl": ftl}
         forked_roots = fork(golden_roots)
         assert measure(golden_roots) == measure(forked_roots)
-
-
-class TestHarnessByteIdentity:
-    """Snapshot mode and legacy rerun-from-zero emit identical reports."""
-
-    def test_soak_snapshot_matches_legacy(self):
-        fast = run_soak(seed=2, quick=True, snapshot=True)
-        slow = run_soak(seed=2, quick=True, snapshot=False)
-        assert (json.dumps(fast.to_dict(), sort_keys=True)
-                == json.dumps(slow.to_dict(), sort_keys=True))
-
-    def test_crash_snapshot_matches_legacy(self, monkeypatch):
-        # Scale the workload down: the constants are read at call time.
-        monkeypatch.setattr(explorer_mod, "FOOTPRINT_PAGES", 8)
-        monkeypatch.setattr(explorer_mod, "MIXED_STEPS", 48)
-        fast = explore(seed=1, quick=True, snapshot=True)
-        slow = explore(seed=1, quick=True, snapshot=False)
-        assert (json.dumps(fast.to_dict(), sort_keys=True)
-                == json.dumps(slow.to_dict(), sort_keys=True))
