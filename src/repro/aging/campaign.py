@@ -698,8 +698,8 @@ def run_aging(config: AgingConfig,
     """
     result = AgingResult(config=config)
     for strategy in config.strategies:
-        tracer = Tracer(enabled=True, archive=False)
-        suite = default_suite(strict=False)
+        tracer = Tracer(enabled=True)
+        suite = default_suite()
         with use_tracer(tracer):
             with suite.attach(tracer):
                 system, leg, t = _strategy_prefix(config, strategy, tracer)

@@ -8,7 +8,7 @@ hardware is exposed to:
   no two masters in one command slot, device traffic only inside the
   extended-tRFC windows, explicit coherence around every CP exchange,
   CP queue/window budgets, monotonic integer-picosecond time.  A broken
-  invariant raises (or records) a structured
+  invariant records a structured
   :class:`~repro.check.violations.SanitizerViolation` with the offending
   trace window attached.
 

@@ -18,9 +18,8 @@ Modes:
   ``--registry-out FILE`` writes the generated registry markdown
   (``docs/hook_registry.md`` in this repo).
 * ``run --sanitize <experiment> [...]`` — execute experiments with an
-  enabled ambient tracer and the full sanitizer suite attached; prints
-  the tracer retention summary (including dropped records) and exits
-  non-zero on any violation or on a drop-compromised trace.
+  enabled ambient tracer and the full sanitizer suite attached; reports
+  every violation on stderr and exits 1 when there is one.
 """
 
 from __future__ import annotations
@@ -145,7 +144,6 @@ def _cmd_check_default(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.check.sanitizer import default_suite
-    from repro.check.violations import SanitizerViolation
     from repro.experiments.runner import ALL_EXPERIMENTS
     from repro.sim.trace import Tracer, use_tracer
 
@@ -155,34 +153,19 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"available: {sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
         return 2
 
-    tracer = Tracer(enabled=True, capacity=args.capacity)
-    suite = default_suite(strict=args.strict)
-    status = 0
-    with use_tracer(tracer):
-        try:
-            with suite.attach(tracer):
-                for exp_id in args.experiments:
-                    record = ALL_EXPERIMENTS[exp_id]()
-                    print(record)
-        except SanitizerViolation as violation:
-            # Strict mode raises at the emission site; report the
-            # violation with its trace window instead of a traceback.
-            print(violation.report(), file=sys.stderr)
-            return 1
-        print(tracer.summary())
-        violations = suite.violations
-        if violations:
-            print(f"\n{len(violations)} sanitizer violation(s):",
-                  file=sys.stderr)
-            print(suite.report(), file=sys.stderr)
-            status = 1
-        elif tracer.dropped:
-            print("trace incomplete (dropped records): run cannot be "
-                  "certified; raise --capacity", file=sys.stderr)
-            status = 1
-        else:
-            print("sanitizers clean: run certified")
-    return status
+    tracer = Tracer(enabled=True)
+    suite = default_suite()
+    with use_tracer(tracer), suite.attach(tracer):
+        for exp_id in args.experiments:
+            print(ALL_EXPERIMENTS[exp_id]())
+    violations = suite.violations
+    if violations:
+        print(f"\n{len(violations)} sanitizer violation(s):",
+              file=sys.stderr)
+        print(suite.report(), file=sys.stderr)
+        return 1
+    print("sanitizers clean")
+    return 0
 
 
 def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
@@ -225,11 +208,6 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
     p_run.add_argument("--sanitize", dest="experiments", action="append",
                        required=True, metavar="EXPERIMENT",
                        help="experiment id to run (repeatable)")
-    p_run.add_argument("--capacity", type=int, default=2_000_000,
-                       help="tracer retention bound (records)")
-    p_run.add_argument("--strict", action="store_true",
-                       help="raise at the first violation instead of "
-                            "collecting a report")
     p_run.set_defaults(fn=cmd_run)
     return parser
 

@@ -1,11 +1,9 @@
 """The sanitizer framework: online observers of the trace stream.
 
 A :class:`Sanitizer` is a stateful observer fed every
-:class:`~repro.sim.trace.TraceRecord` a tracer emits (including records
-the capacity bound drops from retention — subscription happens upstream
-of the drop).  A :class:`SanitizerSuite` owns a set of sanitizers,
-attaches them to a tracer, accumulates their violations, and decides
-whether a finished run can be *certified* clean.
+:class:`~repro.sim.trace.TraceRecord` a tracer emits in its categories.
+A :class:`SanitizerSuite` owns a set of sanitizers, attaches them to a
+tracer and collects their violations for a post-run report.
 
 Per-owner sharding
     Emitters tag records with an ``owner`` token
@@ -46,7 +44,6 @@ class Sanitizer:
     def __init__(self) -> None:
         self.violations: list[SanitizerViolation] = []
         self._context: deque[TraceRecord] = deque(maxlen=self.CONTEXT_DEPTH)
-        self._suite: "SanitizerSuite | None" = None
 
     @property
     def name(self) -> str:
@@ -62,12 +59,10 @@ class Sanitizer:
     def violation(self, rule: str, message: str,
                   record: TraceRecord | None = None,
                   **details) -> None:
-        """Record (and in strict mode raise) a violation."""
-        v = SanitizerViolation(self.name, rule, message, record=record,
-                               context=tuple(self._context), **details)
-        self.violations.append(v)
-        if self._suite is not None and self._suite.strict:
-            raise v
+        """Record a violation."""
+        self.violations.append(SanitizerViolation(
+            self.name, rule, message, record=record,
+            context=tuple(self._context), **details))
 
     @staticmethod
     def owner_of(record: TraceRecord) -> str:
@@ -78,20 +73,14 @@ class Sanitizer:
 class SanitizerSuite(SnapshotMixin):
     """A set of sanitizers attached to one tracer.
 
-    ``strict=True`` raises the first violation at its emission site
-    (stack trace points into the offending model code); ``strict=False``
-    collects violations for a post-run report — what the pytest fixture
-    uses so a test failure shows *all* broken invariants.
+    Violations are collected, never raised, so a run's report (and a
+    failing test) shows *every* broken invariant.
     """
 
-    def __init__(self, sanitizers: Iterable[Sanitizer],
-                 strict: bool = False) -> None:
+    def __init__(self, sanitizers: Iterable[Sanitizer]) -> None:
         self.sanitizers = list(sanitizers)
-        self.strict = strict
         self._tracer: Tracer | None = None
         self._observers: list[Callable[[TraceRecord], None]] = []
-        for sanitizer in self.sanitizers:
-            sanitizer._suite = self
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -146,33 +135,12 @@ class SanitizerSuite(SnapshotMixin):
         """Human-readable report of every violation (empty when clean)."""
         return "\n".join(v.report() for v in self.violations)
 
-    def certify(self, tracer: Tracer | None = None) -> None:
-        """Assert the observed run is clean, raising otherwise.
 
-        Refuses to certify when the tracer dropped records from
-        retention: observation was still complete (subscribers run
-        before the drop), but the archived trace cannot substantiate
-        the certificate, so the run does not count as verified.
-        """
-        tracer = tracer if tracer is not None else self._tracer
-        violations = self.violations
-        if violations:
-            raise violations[0]
-        if tracer is not None and tracer.dropped:
-            raise SanitizerViolation(
-                "Suite", "dropped-records",
-                f"cannot certify: tracer dropped {tracer.dropped} records "
-                f"(capacity {tracer.capacity}); rerun with a larger "
-                "capacity for a verifiable trace",
-                dropped=tracer.dropped, capacity=tracer.capacity)
-
-
-def default_suite(strict: bool = False) -> SanitizerSuite:
+def default_suite() -> SanitizerSuite:
     """The standard five-sanitizer suite."""
     from repro.check.sanitizers import (BusRaceSanitizer, CoherenceSanitizer,
                                         ProtocolSanitizer, ScrubSanitizer,
                                         TimeSanitizer)
     return SanitizerSuite([BusRaceSanitizer(), CoherenceSanitizer(),
                            ProtocolSanitizer(), ScrubSanitizer(),
-                           TimeSanitizer()],
-                          strict=strict)
+                           TimeSanitizer()])

@@ -1,9 +1,9 @@
 """Structured sanitizer violations.
 
-A violation is an error object first and an exception second: the suite
-can collect violations for a post-run report (the pytest fixture does)
-or raise the first one immediately (``strict`` mode, the default for
-``python -m repro check run``).
+A suite collects violations for a post-run report: ``python -m repro
+check run``, the pytest fixture and every harness gate read them after
+the run.  A violation is also a :class:`~repro.errors.ReproError`, so a
+caller can raise one as an error.
 """
 
 from __future__ import annotations

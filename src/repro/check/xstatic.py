@@ -22,9 +22,9 @@ Registry extraction (part a)
     producers), and f-strings with a literal head (``f"nvmc.dma.{kind}"``)
     register as prefix producers.  Consumers are the sanitizer modules'
     category comparisons (including class-level tuple constants such as
-    ``TimeSanitizer.MONOTONIC`` and ``startswith`` prefixes), tracer
-    ``filter("prefix")`` calls, and the injector registry's cut-site
-    filters (prefix semantics, matching ``_Cut.matches_site``).
+    ``TimeSanitizer.MONOTONIC`` and ``startswith`` prefixes) and the
+    injector registry's cut-site filters (prefix semantics, matching
+    ``_Cut.matches_site``).
 
 Cross-check rules
     ``REPRO011`` — a sanitizer expects a trace event no producer emits
@@ -715,11 +715,6 @@ class _Extractor(ast.NodeVisitor):
                     and isinstance(site.value, str)):
                 Registry._add(self.registry.hook_consumers, site.value,
                               self._ref(node))
-        elif attr == "filter" and "tracer" in receiver and node.args:
-            exact, _ = _literal_or_prefix(node.args[0])
-            if exact is not None:
-                Registry._add(self.registry.trace_consumer_prefixes, exact,
-                              self._ref(node))
         elif (attr == "startswith" and isinstance(func, ast.Attribute)
                 and _is_category_expr(func.value)
                 and self.is_sanitizer_module and node.args):
@@ -1136,8 +1131,8 @@ def _cross_check(registry: Registry) -> list[StaticFinding]:
             for ref in refs:
                 findings.append(StaticFinding(
                     ref.path, ref.line, 0, "REPRO011",
-                    f"trace filter prefix '{prefix}' matches no produced "
-                    "category"))
+                    f"sanitizer expects trace category prefix '{prefix}' "
+                    "but no producer emits a matching category"))
     for site, refs in sorted(registry.hook_consumers.items()):
         if not registry.hook_site_resolves(site):
             for ref in refs:
@@ -1279,7 +1274,7 @@ def render_registry_markdown(registry: Registry) -> str:
         "",
         "Producers are `tracer.emit()` call sites (wrapper-forwarded "
         "literals resolved); consumers are the sanitizers' expected "
-        "categories and trace filter prefixes.",
+        "categories and category prefixes.",
         "",
         "| Category | Emitted at | Expected by |",
         "|----------|-----------|-------------|",

@@ -53,11 +53,6 @@ class MMUStats:
     faults: int = 0
     unresolved_faults: int = 0
 
-    @property
-    def tlb_hit_rate(self) -> float:
-        total = self.tlb_hits + self.tlb_misses
-        return self.tlb_hits / total if total else 0.0
-
 
 class MMU:
     """Per-process address translation with a TLB and DAX fault hooks."""

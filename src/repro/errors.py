@@ -133,12 +133,6 @@ class KernelError(ReproError):
     code = "REPRO-E060"
 
 
-class OutOfSlotsError(KernelError):
-    """The DRAM cache has no free slot and no evictable victim."""
-
-    code = "REPRO-E061"
-
-
 class ConfigError(ReproError, ValueError):
     """Inconsistent or unsupported system configuration.
 

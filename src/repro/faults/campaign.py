@@ -167,8 +167,8 @@ def run_campaign(seed: int = 0, quick: bool = False,
     for fault_name, workload_name in cells:
         injector = INJECTORS[fault_name]
         cseed = cell_seed_for(seed, fault_name, workload_name)
-        tracer = Tracer(enabled=True, archive=False)
-        suite = default_suite(strict=False)
+        tracer = Tracer(enabled=True)
+        suite = default_suite()
         with use_tracer(tracer):
             with suite.attach(tracer):
                 if injector.kind == "stream":

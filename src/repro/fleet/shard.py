@@ -226,8 +226,8 @@ def build_prefix(tenants: tuple[TenantSpec, ...], quick: bool,
     """
     cache_bytes = _QUICK_CACHE if quick else _FULL_CACHE
     device_bytes = _QUICK_DEVICE if quick else _FULL_DEVICE
-    tracer = Tracer(enabled=True, archive=False)
-    suite = default_suite(strict=False)
+    tracer = Tracer(enabled=True)
+    suite = default_suite()
     with use_tracer(tracer):
         with suite.attach(tracer):
             system = NVDIMMCSystem(

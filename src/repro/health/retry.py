@@ -35,7 +35,7 @@ hard-coding attempt counts at every site.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import (ConfigError, CPProtocolError, CPTimeoutError,
                           MediaError, ReproError, UncorrectableError)
@@ -109,10 +109,6 @@ class RetryPolicy:
         return cls(max_attempts=max_attempts,
                    base_ps=round(base_windows * trefi_ps),
                    cap_ps=round(cap_windows * trefi_ps), **kwargs)
-
-    def derive(self, **overrides) -> "RetryPolicy":
-        """Copy with some fields replaced (site/seed specialisation)."""
-        return replace(self, **overrides)
 
     # -- the schedule ---------------------------------------------------------
 

@@ -318,8 +318,8 @@ def run_soak(seed: int = 0, quick: bool = False,
     steps = footprint
     scrub_windows = 32 if quick else 96
     result = SoakResult(seed=seed, quick=quick, p99_bound=p99_bound)
-    tracer = Tracer(enabled=True, archive=False)
-    suite = default_suite(strict=False)
+    tracer = Tracer(enabled=True)
+    suite = default_suite()
     with use_tracer(tracer):
         with suite.attach(tracer):
             system, leg, rnd, t = _soak_prefix(soak_seed, footprint, tracer)

@@ -88,14 +88,6 @@ class ReservedRegion:
         """Page frame number of a cache slot."""
         return self.slot_paddr(slot) // PAGE_4K
 
-    @property
-    def cp_paddr(self) -> int:
-        return self.base_paddr + self.layout.cp_offset
-
-    @property
-    def metadata_paddr(self) -> int:
-        return self.base_paddr + self.layout.metadata_offset
-
     def contains(self, paddr: int) -> bool:
         return self.base_paddr <= paddr < self.base_paddr + self.size_bytes
 

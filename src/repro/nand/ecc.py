@@ -4,8 +4,8 @@ The NVMC performs error correction "at the granularity of 4 KB"
 (§III-A).  Rather than implement a real BCH/LDPC codec bit-for-bit, the
 model captures the externally visible contract:
 
-* ``encode`` wraps a 4 KB payload with parity metadata (a checksum plus
-  the correction budget);
+* ``encode`` wraps a 4 KB payload in a codeword that records the raw
+  bit flips the channel injects into it;
 * the raw channel can flip bits (injection is driven by a deterministic
   RNG and a raw-bit-error-rate that grows with the block's P/E count);
 * ``decode`` corrects up to ``t`` flipped bits per codeword, restoring
@@ -19,10 +19,8 @@ failure statistics match the RBER model.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
-
 
 from repro.errors import UncorrectableError
 
@@ -39,10 +37,9 @@ class ECCStats:
 
 @dataclass
 class Codeword:
-    """An encoded page: payload + parity descriptor + injected errors."""
+    """An encoded page: payload + injected errors."""
 
     payload: bytes
-    checksum: bytes
     flipped_bits: list[int] = field(default_factory=list)
 
 
@@ -82,8 +79,7 @@ class ECCCodec:
                 f"codeword payload must be {self.payload_bytes} B, "
                 f"got {len(payload)}")
         self.stats.encoded += 1
-        return Codeword(payload=bytes(payload),
-                        checksum=self._digest(payload))
+        return Codeword(payload=bytes(payload))
 
     def inject_errors(self, codeword: Codeword, rber: float) -> int:
         """Flip bits at raw bit-error-rate ``rber``; returns flips added."""
@@ -112,11 +108,7 @@ class ECCCodec:
                 f"{len(odd_flips)} raw bit errors exceed the "
                 f"{self.t_bits}-bit correction budget")
         self.stats.bits_corrected += len(odd_flips)
-        payload = codeword.payload
-        if self._digest(payload) != codeword.checksum:
-            self.stats.uncorrectable += 1
-            raise UncorrectableError("payload does not match parity")
-        return payload
+        return codeword.payload
 
     # -- RBER model -----------------------------------------------------------------
 
@@ -149,10 +141,6 @@ class ECCCodec:
             if product <= limit:
                 return k
             k += 1
-
-    @staticmethod
-    def _digest(payload: bytes) -> bytes:
-        return hashlib.blake2b(payload, digest_size=8).digest()
 
 
 @dataclass(frozen=True)

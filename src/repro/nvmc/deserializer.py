@@ -18,8 +18,6 @@ path runs once per observed command slot per pin.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class Deserializer:
     """Serial-in, 8-bit-parallel-out shift register for one CA signal."""
@@ -48,29 +46,6 @@ class Deserializer:
         self._count = 0
         self.words_emitted += 1
         return word
-
-    def push_many(self, levels: Iterable[bool]) -> list[int]:
-        """Shift in a batch of samples; returns every word emitted.
-
-        Equivalent to calling :meth:`push` per sample and collecting the
-        non-``None`` returns, without the per-sample call overhead.
-        """
-        word = self._word
-        count = self._count
-        width = self.WIDTH
-        emitted: list[int] = []
-        for level in levels:
-            if level:
-                word |= 1 << count
-            count += 1
-            if count == width:
-                emitted.append(word)
-                word = 0
-                count = 0
-        self._word = word
-        self._count = count
-        self.words_emitted += len(emitted)
-        return emitted
 
     @property
     def pending_samples(self) -> int:

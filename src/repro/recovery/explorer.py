@@ -332,8 +332,8 @@ def _start(seed: int) -> dict:
     and a fresh start are interchangeable inputs to :func:`_run`.
     """
     rng = random.Random(seed)
-    tracer = Tracer(enabled=True, archive=False)
-    suite = default_suite(strict=False)
+    tracer = Tracer(enabled=True)
+    suite = default_suite()
     clock = FaultClock()
     with use_tracer(tracer):
         suite.attach(tracer)

@@ -5,28 +5,18 @@ Device models emit :class:`TraceRecord` entries through a shared
 boolean) and tests enable it to assert on protocol-level behaviour, e.g.
 "the NVMC only drove the bus inside extended-tRFC windows".
 
-Two consumers exist:
-
-* **retention** — records are stored in ``Tracer.records`` (optionally
-  capacity-bounded) for post-hoc inspection and audits.  A tracer built
-  with ``archive=False`` keeps no records at all: the harnesses and the
-  pytest fixture observe through the sanitizers and never read an
-  archive, so they do not pay for one;
-* **subscription** — online observers (the ``repro.check`` sanitizers)
-  registered with :meth:`Tracer.subscribe` see *every* record that passes
-  the enabled/category filters and their own category prefixes, even
-  records the capacity bound drops from storage.  Observation is
-  therefore complete while the archived trace may not be — which is why
-  the sanitizers refuse to *certify* a run whose tracer reports
-  ``dropped > 0``.
+A record has one consumer: the online observers (the ``repro.check``
+sanitizers, or a test's list) registered with :meth:`Tracer.subscribe`.
+The tracer hands each record to the subscribers whose category prefixes
+match and keeps none, so a long run holds no trace history.
 
 Delivery is routed once per exact category: the first record of a
-category resolves the observers it goes to (and whether the category
-filter passes it at all), and later records of that category go
-straight to that handler tuple.  Record messages are rendered only when
-read (:attr:`TraceRecord.message`): hot emitters pass a
-:class:`MessageTemplate` over the record's fields, or an object whose
-``str`` is the message, instead of formatting text no observer reads.
+category resolves the observers it goes to, and later records of that
+category go straight to that handler tuple.  Record messages are
+rendered only when read (:attr:`TraceRecord.message`): hot emitters
+pass a :class:`MessageTemplate` over the record's fields, or an object
+whose ``str`` is the message, instead of formatting text no observer
+reads.
 
 Models that accept a ``tracer`` argument treat ``None`` as "use the
 ambient default tracer" (:func:`default_tracer`), which is the disabled
@@ -39,11 +29,9 @@ without threading a tracer through every constructor call site.
 from __future__ import annotations
 
 import itertools
-import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-from repro.errors import ConfigError
 from repro.sim.snapshot import SnapshotMixin
 from repro.units import format_time
 
@@ -107,12 +95,11 @@ class TraceRecord:
 class _TraceMeter:
     """Process-wide trace counters, read by the perfbench work counters.
 
-    ``records_emitted`` counts every record that passed the enabled /
-    category filters (whether or not retention kept it);
-    ``peak_retained`` is the high-water mark of any single tracer's
-    retained record list (archive-less tracers never raise it).
-    Disabled tracers never touch these, so the normal (tracing-off) hot
-    path is unaffected.
+    ``records_emitted`` counts every record an enabled tracer emitted.
+    ``peak_retained`` always reads 0: a tracer keeps no records, and the
+    field stays because the perfbench counters report it.  Disabled
+    tracers never touch these, so the normal (tracing-off) hot path is
+    unaffected.
     """
 
     __slots__ = ("records_emitted", "peak_retained")
@@ -133,55 +120,28 @@ TraceMeter = _TraceMeter()
 
 
 class Tracer(SnapshotMixin):
-    """Collects trace records, optionally filtered by category prefix.
+    """Delivers trace records to its subscribers and keeps none.
 
-    ``categories`` (fixed at construction) selects the records that
-    exist at all; ``archive=False`` builds a tracer that only delivers
-    records to its subscribers and keeps none.
-
-    Drop semantics under a ``capacity`` bound are intentionally
-    retention-only: a record past capacity is still *delivered to every
-    subscriber* — only its archival in ``records`` is skipped (counted
-    in ``dropped``).  Certification in ``repro.check`` keys off
-    ``dropped`` because the archived trace is incomplete, but online
-    observation (the sanitizers themselves) remains complete.  A
-    ``capacity`` below 1 could never certify a run, so it is a
-    :class:`~repro.errors.ConfigError`.  The
-    disabled / category-filtered early-outs in :meth:`emit` happen
-    *before* record construction and before subscriber delivery — a
-    filtered-out record does not exist for either consumer.  A record
-    that would be neither archived nor observed is never built.
+    The disabled early-out in :meth:`emit` happens before record
+    construction, and a record no subscriber would observe is never
+    built.
     """
 
-    def __init__(self, enabled: bool = False,
-                 categories: tuple[str, ...] | None = None,
-                 capacity: int | None = None,
-                 archive: bool = True) -> None:
-        if capacity is not None and capacity < 1:
-            raise ConfigError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        # Normalised to a real tuple so routing can hand it straight to
-        # ``str.startswith`` (which accepts a tuple of prefixes).
-        self.categories = tuple(categories) if categories is not None else None
-        self.capacity = capacity
-        self.archive = archive
-        self.records: list[TraceRecord] = []
-        self.dropped = 0
-        self._warned_dropped = False
         #: (observer, category prefixes or None for all), in order.
         self._subscribers: list[tuple[Observer, tuple[str, ...] | None]] = []
-        #: Exact category -> the observers its records go to, or None
-        #: when the category filter drops it; filled by :meth:`_route`.
-        self._routes: dict[str, tuple[Observer, ...] | None] = {}
+        #: Exact category -> the observers its records go to; filled by
+        #: :meth:`_route`.
+        self._routes: dict[str, tuple[Observer, ...]] = {}
 
     def emit(self, time_ps: int, category: str, message: object,
              **fields: Any) -> None:
-        """Record an event if tracing is on and the category is selected.
+        """Deliver an event to the matching subscribers if tracing is on.
 
         A disabled ``emit`` is one branch; past it, one dict lookup
-        yields the category's handler tuple (``None`` when the category
-        filter drops it).  ``message`` is stored unrendered (see
-        :class:`TraceRecord`).
+        yields the category's handler tuple.  ``message`` is stored
+        unrendered (see :class:`TraceRecord`).
         """
         if not self.enabled:
             return
@@ -189,56 +149,25 @@ class Tracer(SnapshotMixin):
             handlers = self._routes[category]
         except KeyError:
             handlers = self._route(category)
-        if handlers is None:
-            return
         TraceMeter.records_emitted += 1
-        if self.archive:
-            records = self.records
-            if self.capacity is None or len(records) < self.capacity:
-                record = TraceRecord(time_ps, category, message, fields)
-                records.append(record)
-                if len(records) > TraceMeter.peak_retained:
-                    TraceMeter.peak_retained = len(records)
-                for handler in handlers:
-                    handler(record)
-                return
-            self._drop()
         if handlers:
             record = TraceRecord(time_ps, category, message, fields)
             for handler in handlers:
                 handler(record)
 
-    def _route(self, category: str) -> tuple[Observer, ...] | None:
+    def _route(self, category: str) -> tuple[Observer, ...]:
         """Resolve and cache where records of ``category`` go."""
-        categories = self.categories
-        handlers: tuple[Observer, ...] | None = None
-        if categories is None or category.startswith(categories):
-            handlers = tuple(
-                observer for observer, prefixes in self._subscribers
-                if prefixes is None or category.startswith(prefixes))
+        handlers = tuple(
+            observer for observer, prefixes in self._subscribers
+            if prefixes is None or category.startswith(prefixes))
         self._routes[category] = handlers
         return handlers
-
-    def _drop(self) -> None:
-        self.dropped += 1
-        if not self._warned_dropped:
-            self._warned_dropped = True
-            warnings.warn(
-                f"Tracer capacity ({self.capacity} records) reached; "
-                "further records are dropped from storage (subscribers "
-                "still observe them).  The archived trace is incomplete "
-                "and sanitizers will refuse to certify this run.",
-                RuntimeWarning, stacklevel=3)
 
     # -- snapshot support -------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # A snapshot carries simulation state, not observation history:
-        # the record archive stays out of the blob, so a restored tracer
-        # starts with an empty one (``dropped`` and the subscribers
-        # travel).  The route cache is rebuilt on first use.
+        # The subscribers travel; the route cache is rebuilt on first use.
         state = self.__dict__.copy()
-        state["records"] = []
         state["_routes"] = {}
         return state
 
@@ -250,9 +179,7 @@ class Tracer(SnapshotMixin):
 
         ``categories`` restricts delivery to records whose category
         starts with one of the prefixes (``None``: every record).
-        Subscribers see records *before* any capacity-based drop, so
-        observation is complete even when retention is bounded.  Returns
-        the observer for symmetry with :meth:`unsubscribe`.
+        Returns the observer for symmetry with :meth:`unsubscribe`.
         """
         prefixes = tuple(categories) if categories is not None else None
         self._subscribers.append((observer, prefixes))
@@ -266,31 +193,6 @@ class Tracer(SnapshotMixin):
                 del self._subscribers[index]
                 self._routes.clear()
                 return
-
-    # -- retention --------------------------------------------------------------
-
-    def filter(self, prefix: str) -> list[TraceRecord]:
-        """All records whose category starts with ``prefix``."""
-        return [r for r in self.records if r.category.startswith(prefix)]
-
-    def clear(self) -> None:
-        """Drop all collected records."""
-        self.records.clear()
-        self.dropped = 0
-        self._warned_dropped = False
-
-    def summary(self) -> str:
-        """One-line retention summary (shown by the check CLI)."""
-        text = f"{len(self.records)} trace records retained"
-        if self.dropped:
-            text += f", {self.dropped} dropped (capacity {self.capacity})"
-        return text
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 #: A module-level tracer that is always disabled; models default to it so

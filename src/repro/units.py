@@ -44,16 +44,6 @@ def to_ns(picoseconds: int) -> float:
     return picoseconds / NS
 
 
-def to_us(picoseconds: int) -> float:
-    """Convert integer picoseconds to float microseconds."""
-    return picoseconds / US
-
-
-def to_sec(picoseconds: int) -> float:
-    """Convert integer picoseconds to float seconds."""
-    return picoseconds / SEC
-
-
 def format_time(picoseconds: int) -> str:
     """Render a simulation time with an auto-selected unit.
 

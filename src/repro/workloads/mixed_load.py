@@ -58,12 +58,6 @@ class MixedLoadResult:
     def clean(self) -> bool:
         return self.validation_failures == 0
 
-    @property
-    def transactions_per_second(self) -> float:
-        if self.span_ps <= 0:
-            return 0.0
-        return self.transactions / (self.span_ps / 1e12)
-
 
 def run_mixed_load(system: NVDIMMCSystem, users: int = 50,
                    transactions_per_user: int = 10,

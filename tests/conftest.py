@@ -31,10 +31,8 @@ def sanitized_trace(request):
     if request.node.get_closest_marker("sanitizer_exempt"):
         yield None
         return
-    # No archive: nothing reads the ambient tracer's records, and the
-    # sanitizers observe every record without one.
-    tracer = Tracer(enabled=True, archive=False)
-    suite = default_suite(strict=False)
+    tracer = Tracer(enabled=True)
+    suite = default_suite()
     suite.attach(tracer)
     previous = set_default_tracer(tracer)
     try:

@@ -1,7 +1,5 @@
 """Tests for analysis (stats, results, tables) and the sim tracer."""
 
-import warnings
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,57 +112,38 @@ class TestTables:
 class TestTracer:
     def test_disabled_by_default(self):
         tracer = Tracer()
+        seen = []
+        tracer.subscribe(seen.append)
         tracer.emit(0, "cat", "msg")
-        assert len(tracer) == 0
+        assert seen == []
 
     def test_enabled_collects(self):
         tracer = Tracer(enabled=True)
+        records = []
+        tracer.subscribe(records.append)
         tracer.emit(100, "ddr.cmd", "ACT", bank=3)
-        assert len(tracer) == 1
-        record = tracer.records[0]
+        [record] = records
         assert record.fields["bank"] == 3
         assert "ddr.cmd" in str(record)
 
     def test_category_filter(self):
-        tracer = Tracer(enabled=True, categories=("ddr.",))
+        tracer = Tracer(enabled=True)
+        records = []
+        tracer.subscribe(records.append, ("ddr.",))
         tracer.emit(0, "ddr.cmd", "a")
         tracer.emit(0, "nvmc.window", "b")
-        assert len(tracer) == 1
-        assert tracer.filter("ddr")[0].message == "a"
+        assert [r.message for r in records] == ["a"]
 
-    def test_capacity_drops(self):
-        tracer = Tracer(enabled=True, capacity=2)
-        tracer.emit(0, "c", "m")
-        tracer.emit(1, "c", "m")
-        # The first drop warns once; further drops stay silent.
-        with pytest.warns(RuntimeWarning, match="capacity"):
-            tracer.emit(2, "c", "m")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for i in (3, 4):
-                tracer.emit(i, "c", "m")
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-        assert "3 dropped" in tracer.summary()
-
-    def test_subscribers_observe_past_capacity(self):
-        tracer = Tracer(enabled=True, capacity=1)
+    def test_subscribers_observe_every_record(self):
+        tracer = Tracer(enabled=True)
         seen = []
         tracer.subscribe(seen.append)
-        with pytest.warns(RuntimeWarning):
-            for i in range(3):
-                tracer.emit(i, "c", "m")
-        assert len(tracer) == 1 and tracer.dropped == 2
+        for i in range(3):
+            tracer.emit(i, "c", "m")
         assert [r.time_ps for r in seen] == [0, 1, 2]
         tracer.unsubscribe(seen.append)
         tracer.emit(3, "c", "m")
         assert len(seen) == 3
-
-    def test_clear(self):
-        tracer = Tracer(enabled=True)
-        tracer.emit(0, "c", "m")
-        tracer.clear()
-        assert len(tracer) == 0 and tracer.dropped == 0
 
     def test_null_tracer_is_off(self):
         assert not NULL_TRACER.enabled

@@ -678,6 +678,7 @@ class Side:
     model: object
     command_cls: type
     clock: ClockRecorder | None
+    records: list
 
 
 def _side(model_cls, timeline_cls, dram_cls, command_cls, faults: bool,
@@ -689,9 +690,11 @@ def _side(model_cls, timeline_cls, dram_cls, command_cls, faults: bool,
     nand = NANDController(nand_spec, logical_capacity_bytes=64 * 16 * kb(4),
                           channels=2, dies_total=2)
     dram = dram_cls(SPEC, capacity_bytes=mb(1))
+    tracer = Tracer(enabled=True)
+    records: list = []
+    tracer.subscribe(records.append)
     model = model_cls(timeline_cls(SPEC), nand, dram,
-                      firmware=FirmwareModel(step_ps=us(4)),
-                      tracer=Tracer(enabled=True))
+                      firmware=FirmwareModel(step_ps=us(4)), tracer=tracer)
     model.trace_owner = OWNER
     for slot in range(SLOTS):
         dram.poke(model._slot_addr(slot),
@@ -700,7 +703,7 @@ def _side(model_cls, timeline_cls, dram_cls, command_cls, faults: bool,
         model.faults = CPFaultPort()
     clock = ClockRecorder() if clocked else None
     model.fault_clock = clock
-    return Side(model, command_cls, clock)
+    return Side(model, command_cls, clock, records)
 
 
 def _attempt(call):
@@ -742,15 +745,15 @@ def _state(side: Side):
                     model.faults.acks_dropped,
                     model.faults.dma_shortfalls_applied,
                     model.faults.exhausted)),
-        "trace": _trace(model),
+        "trace": _trace(model, side.records),
         "clock": None if side.clock is None else list(side.clock.visits),
     }
 
 
-def _trace(model) -> list[tuple]:
+def _trace(model, records) -> list[tuple]:
     """The trace, with ``nvmc.dma`` compared one window at a time."""
     out = []
-    for r in model.tracer.records:
+    for r in records:
         if r.category != "nvmc.dma":
             out.append((r.time_ps, r.category, list(r.fields.items()),
                         r.message, str(r)))

@@ -234,6 +234,8 @@ stream_commands = st.tuples(
 
 def drive(bus, stream):
     """Issue ``stream``; return everything the bus observably did."""
+    traced = []
+    bus.tracer.subscribe(traced.append)
     outcomes = []
     latest = 0
     for master, kind, bank, step in stream:
@@ -248,7 +250,7 @@ def drive(bus, stream):
                              getattr(exc, "masters", None)))
     records = [(r.time_ps, r.category, r.message,
                 {k: v for k, v in r.fields.items() if k != "owner"})
-               for r in bus.tracer]
+               for r in traced]
     return outcomes, bus.collisions, bus.commands_issued, records
 
 

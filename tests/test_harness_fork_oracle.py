@@ -245,8 +245,8 @@ def soak_harness(inject: str | None):
 def twin_from_zero(seed: int, footprint: int,
                    steps: int) -> tuple[list[int], int]:
     """A fresh prefix plus the two twin legs, under the twin's own suite."""
-    tracer = Tracer(enabled=True, archive=False)
-    suite = default_suite(strict=False)
+    tracer = Tracer(enabled=True)
+    suite = default_suite()
     with use_tracer(tracer):
         with suite.attach(tracer):
             _system, leg, _rnd, t = soak._soak_prefix(seed, footprint, tracer)
@@ -262,8 +262,8 @@ def soak_from_zero(seed: int) -> SoakResult:
     soak_seed = zlib.crc32(f"{seed}:soak".encode("ascii"))
     footprint = steps = soak.FOOTPRINT_PAGES_QUICK
     result = SoakResult(seed=seed, quick=True)
-    tracer = Tracer(enabled=True, archive=False)
-    suite = default_suite(strict=False)
+    tracer = Tracer(enabled=True)
+    suite = default_suite()
     with use_tracer(tracer):
         with suite.attach(tracer):
             system, leg, rnd, t = soak._soak_prefix(soak_seed, footprint,
@@ -335,8 +335,8 @@ def aging_from_zero(config: AgingConfig) -> AgingResult:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(campaign, "SimSnapshot", IdentityFork)
         for strategy in config.strategies:
-            tracer = Tracer(enabled=True, archive=False)
-            suite = default_suite(strict=False)
+            tracer = Tracer(enabled=True)
+            suite = default_suite()
             with use_tracer(tracer):
                 with suite.attach(tracer):
                     for shard in range(config.shard_count):

@@ -119,12 +119,12 @@ class TestTimelineAndCoverage:
         assert states == ["retry", "remap", "read_only", "fail_stop"]
 
     def test_transitions_are_traced(self):
-        tracer = Tracer(enabled=True, capacity=100)
+        tracer = Tracer(enabled=True)
+        records = []
+        tracer.subscribe(records.append, ("health.state",))
         monitor = HealthMonitor(policy=_POLICY, tracer=tracer)
         for i in range(3):
             monitor.record("nvdc", "cp-timeout", time_ps=i)
-        records = [r for r in tracer.records
-                   if r.category == "health.state"]
         assert len(records) == 1
         assert records[0].fields["to_state"] == "retry"
         assert records[0].fields["component"] == "nvdc"

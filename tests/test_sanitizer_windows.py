@@ -306,20 +306,22 @@ def test_pruned_tables_match_dict_fifo_oracles(events, memory, split):
     for sanitizer in fast + oracle + resumed:
         sanitizer.WINDOW_MEMORY = memory
     tracer = Tracer(enabled=True)
+    records: list[TraceRecord] = []
+    tracer.subscribe(records.append)
     fast_suite = SanitizerSuite(fast).attach(tracer)
     for time_ps, event in enumerate(events):
         emit(tracer, time_ps, event)
     fast_suite.detach()
     op_of: dict[int, TraceRecord] = {}
-    for record in one_window_at_a_time(tracer.records, op_of):
+    for record in one_window_at_a_time(records, op_of):
         for sanitizer in oracle:
             sanitizer.observe(record)
     assert seen(fast) == seen(oracle, op_of)
 
     # The same stream with a snapshot round trip part-way through (a
     # snapshot carries the tables; see _WindowFIFO.__reduce__).
-    half = round(split * len(tracer.records))
-    for record in tracer.records[:half]:
+    half = round(split * len(records))
+    for record in records[:half]:
         for sanitizer in resumed:
             sanitizer.observe(record)
     # Violations are exceptions, which do not pickle; set them aside.
@@ -329,7 +331,7 @@ def test_pruned_tables_match_dict_fifo_oracles(events, memory, split):
     resumed = pickle.loads(pickle.dumps(resumed))
     for sanitizer, violations in zip(resumed, earlier):
         sanitizer.violations[:0] = violations
-    for record in tracer.records[half:]:
+    for record in records[half:]:
         for sanitizer in resumed:
             sanitizer.observe(record)
     assert [(str(v), v.details, str(v.record))
@@ -343,18 +345,20 @@ def test_revisited_pruned_window_starts_a_fresh_budget():
     taken while the table is full: revisiting it starts a fresh
     budget."""
     tracer = Tracer(enabled=True)
+    records: list[TraceRecord] = []
+    tracer.subscribe(records.append)
     for time_ps, window in enumerate((0, 1, 2, 0, 2)):
         emit(tracer, time_ps, ("dma", OWNERS[0], 0, [(window, 3000)]))
     fast, oracle = live.ProtocolSanitizer(), ProtocolSanitizer()
     fast.WINDOW_MEMORY = oracle.WINDOW_MEMORY = 2
-    for record in tracer.records[:2]:
+    for record in records[:2]:
         fast.observe(record)
-    for record in one_window_at_a_time(tracer.records[:2], {}):
+    for record in one_window_at_a_time(records[:2], {}):
         oracle.observe(record)
     fast = pickle.loads(pickle.dumps(fast))
-    for record in tracer.records[2:]:
+    for record in records[2:]:
         fast.observe(record)
-    for record in one_window_at_a_time(tracer.records[2:], {}):
+    for record in one_window_at_a_time(records[2:], {}):
         oracle.observe(record)
     # Window 0 was pruned by window 2 (fresh budget on revisit); window
     # 2 was still remembered, so its second 3000 bytes overflow.

@@ -174,9 +174,11 @@ def rendered() -> dict[str, str]:
     for scenario in (_protocol_stack, _coherent_system, _faulted_system,
                      _degraded_system):
         tracer = Tracer(enabled=True)
+        records = []
+        tracer.subscribe(records.append)
         with use_tracer(tracer):
             scenario(tracer)
-        for record in tracer.records:
+        for record in records:
             out.setdefault(site_of(record),
                            re.sub(r"#\d+", "#N", str(record)))
     return out

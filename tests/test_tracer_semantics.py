@@ -1,15 +1,12 @@
-"""Tracer emit fast-path and capacity-drop semantics.
+"""Tracer emit fast path and delivery semantics.
 
-The emit early-outs (disabled tracer, category filter) must fire before
-record construction and before subscriber delivery; the capacity bound
-must drop records from *storage only* — subscribers still observe every
-record that passed the filters, which is what lets the ``repro.check``
-sanitizers certify zero-drop observation even on a bounded tracer.
+The disabled early-out must fire before record construction and before
+subscriber delivery; each subscriber sees exactly the records whose
+category starts with one of its prefixes; and the tracer keeps nothing
+it delivered, so a long traced run holds no trace history.
 """
 
-import warnings
-
-import pytest
+import tracemalloc
 
 from repro.sim.trace import NULL_TRACER, TraceMeter, Tracer
 
@@ -21,94 +18,67 @@ class TestEmitEarlyOut:
         tracer.subscribe(seen.append)
         tracer.emit(0, "ddr.cmd", "hi")
         assert seen == []
-        assert tracer.records == []
-        assert tracer.dropped == 0
 
     def test_category_filter_uses_prefix_tuple(self):
-        tracer = Tracer(enabled=True, categories=("ddr.", "nvmc.dma"))
-        seen = []
-        tracer.subscribe(seen.append)
+        tracer = Tracer(enabled=True)
+        seen, everything = [], []
+        tracer.subscribe(seen.append, ("ddr.", "nvmc.dma"))
+        tracer.subscribe(everything.append)
         tracer.emit(0, "ddr.cmd", "kept")
         tracer.emit(1, "nvmc.dma", "kept")
         tracer.emit(2, "nvmc.dmaX", "kept (prefix match)")
         tracer.emit(3, "cp.post", "filtered")
         tracer.emit(4, "nvmc.other", "filtered")
-        assert [r.message for r in tracer.records] == [
+        assert [r.message for r in seen] == [
             "kept", "kept", "kept (prefix match)"]
-        # Filtered records reach neither storage nor subscribers.
-        assert len(seen) == 3
+        # A subscriber's prefixes limit its own delivery only.
+        assert len(everything) == 5
 
     def test_categories_normalised_to_tuple(self):
-        tracer = Tracer(enabled=True, categories=["ddr."])  # type: ignore[arg-type]
-        assert isinstance(tracer.categories, tuple)
+        tracer = Tracer(enabled=True)
+        seen = []
+        tracer.subscribe(seen.append, ["ddr."])  # type: ignore[arg-type]
         tracer.emit(0, "ddr.cmd", "ok")
-        assert len(tracer.records) == 1
+        tracer.emit(1, "cp.post", "filtered")
+        assert [r.message for r in seen] == ["ok"]
 
     def test_null_tracer_is_disabled(self):
         assert NULL_TRACER.enabled is False
 
 
-class TestCapacityDropSemantics:
-    def make_bounded(self, capacity=2):
-        tracer = Tracer(enabled=True, capacity=capacity)
-        seen = []
-        tracer.subscribe(seen.append)
-        return tracer, seen
+class TestRetention:
+    def test_tracer_keeps_nothing_it_delivered(self):
+        tracer = Tracer(enabled=True)
+        count = 0
 
-    def test_drop_is_storage_only(self):
-        tracer, seen = self.make_bounded(capacity=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for i in range(5):
-                tracer.emit(i, "ddr.cmd", f"r{i}")
-        # Storage kept the first 2; subscribers observed all 5.
-        assert [r.message for r in tracer.records] == ["r0", "r1"]
-        assert tracer.dropped == 3
-        assert [r.message for r in seen] == [f"r{i}" for i in range(5)]
+        def counting(record):
+            nonlocal count
+            count += 1
 
-    def test_drop_warns_once(self):
-        tracer, _ = self.make_bounded(capacity=1)
-        tracer.emit(0, "a", "kept")
-        with pytest.warns(RuntimeWarning, match="capacity"):
-            tracer.emit(1, "a", "dropped")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tracer.emit(2, "a", "dropped quietly")
-        assert tracer.dropped == 2
-
-    def test_certification_counter_unaffected_by_early_out(self):
-        """Filtered/disabled emits are not drops: certification (which
-        refuses on ``dropped > 0``) only cares about storage losses."""
-        tracer = Tracer(enabled=True, categories=("ddr.",), capacity=10)
-        tracer.emit(0, "cp.post", "filtered, not dropped")
-        assert tracer.dropped == 0
-        assert len(tracer.records) == 0
-        tracer.enabled = False
-        tracer.emit(1, "ddr.cmd", "disabled, not dropped")
-        assert tracer.dropped == 0
-
-    def test_clear_resets_drop_state(self):
-        tracer, _ = self.make_bounded(capacity=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            tracer.emit(0, "a", "x")
-            tracer.emit(1, "a", "y")
-        assert tracer.dropped == 1
-        tracer.clear()
-        assert tracer.dropped == 0
-        assert len(tracer) == 0
+        tracer.subscribe(counting)
+        tracemalloc.start()
+        try:
+            for i in range(100_000):
+                tracer.emit(i, "ddr.cmd", "ACT", bank=i % 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 100_000
+        assert peak < 1 << 20, f"emitting retained {peak} bytes"
 
 
 class TestTraceMeter:
     def test_counts_emitted_and_peak(self):
         TraceMeter.reset()
-        tracer = Tracer(enabled=True, capacity=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for i in range(4):
-                tracer.emit(i, "a", "x")
+        tracer = Tracer(enabled=True)
+        seen = []
+        tracer.subscribe(seen.append, ("ddr.",))
+        for i in range(4):
+            tracer.emit(i, "ddr.cmd" if i % 2 else "cp.post", "x")
+        # Every enabled emit counts, observed or not; nothing is kept.
         assert TraceMeter.records_emitted == 4
-        assert TraceMeter.peak_retained == 2
+        assert TraceMeter.peak_retained == 0
+        assert len(seen) == 2
         TraceMeter.reset()
         assert TraceMeter.records_emitted == 0
         assert TraceMeter.peak_retained == 0
@@ -117,3 +87,4 @@ class TestTraceMeter:
         TraceMeter.reset()
         Tracer(enabled=False).emit(0, "a", "x")
         assert TraceMeter.records_emitted == 0
+        assert TraceMeter.peak_retained == 0
