@@ -40,9 +40,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.aging.report import SCHEMA
+from repro.analysis.stats import order_statistic
 from repro.check.sanitizer import default_suite
 from repro.device.nvdimmc import NVDIMMCSystem
-from repro.errors import ConfigError, FailStopError, MediaError
+from repro.errors import ConfigError
 from repro.health.monitor import HealthPolicy
 from repro.nand.ecc import AgingParams
 from repro.nand.endurance import (EnduranceSnapshot, paper_device_lifetime,
@@ -52,7 +53,8 @@ from repro.nand.spec import ZNAND_64GB
 from repro.report import Gate, Gated
 from repro.sim.snapshot import SimSnapshot
 from repro.sim.trace import Tracer, use_tracer
-from repro.units import PAGE_4K, gb, kb, mb, us
+from repro.units import gb, kb, mb, us
+from repro.workloads.shadow import Leg
 
 _CACHE_BYTES = kb(512)
 _DEVICE_BYTES = mb(8)
@@ -290,19 +292,12 @@ class AgingResult(Gated):
         return curve
 
     def time_to_read_only(self, strategy: str) -> dict[str, int]:
-        reached = sorted(s.read_only_epoch
-                         for s in self.by_strategy(strategy)
-                         if s.read_only_epoch > 0)
+        reached = [s.read_only_epoch for s in self.by_strategy(strategy)
+                   if s.read_only_epoch > 0]
         total = len(self.by_strategy(strategy))
-
-        def pct(fraction: float) -> int:
-            if not reached:
-                return 0
-            index = min(len(reached) - 1, int(fraction * len(reached)))
-            return reached[index]
-
         return {"reached": len(reached), "censored": total - len(reached),
-                "p50_epochs": pct(0.50), "p90_epochs": pct(0.90)}
+                "p50_epochs": order_statistic(reached, 0.50),
+                "p90_epochs": order_statistic(reached, 0.90)}
 
     def ladder_histogram(self) -> dict[str, int]:
         histogram: dict[str, int] = {}
@@ -439,86 +434,21 @@ class AgingResult(Gated):
 # -- workload ----------------------------------------------------------------------
 
 
-def _payload(page: int, version: int) -> bytes:
-    head = page.to_bytes(4, "little") + version.to_bytes(4, "little")
-    return head + bytes([(page * 149 + version * 53) % 256]) * (PAGE_4K - 8)
-
-
-class _ShardLeg:
-    """Workload runner over one shard's driver with a shadow of truth."""
-
-    def __init__(self, driver, shadow: dict[int, bytes],
-                 footprint: int) -> None:
-        self.driver = driver
-        self.shadow = shadow
-        self.footprint = footprint
-
-    def fill(self, t: int, log: EpochLog) -> int:
-        for page in range(self.footprint):
-            data = _payload(page, 0)
-            try:
-                t = self.driver.write_page(page, data, t)
-            except FailStopError:
-                log.refused_writes += 1
-                continue
-            except MediaError as exc:
-                if getattr(exc, "reason", None) is not None:
-                    log.refused_writes += 1
-                else:
-                    log.media_errors += 1
-                continue
-            log.writes += 1
-            self.shadow[page] = data
-        return t
-
-    def churn(self, t: int, rng: random.Random, steps: int,
-              version_base: int, log: EpochLog) -> int:
-        hot_pages = max(1, self.footprint // _HOT_DIVISOR)
-        for step in range(steps):
-            if self.shadow and rng.random() < _READ_FRACTION:
-                page = rng.choice(sorted(self.shadow))
-                try:
-                    _data, t = self.driver.read_page(page, t)
-                except MediaError:
-                    log.media_errors += 1
-                    continue
-                log.reads += 1
-                continue
-            if rng.random() < _HOT_WRITE_BIAS:
-                # The hot set is strided: every _HOT_DIVISOR-th page.
-                page = _HOT_DIVISOR * rng.randrange(hot_pages)
-            else:
-                page = rng.randrange(self.footprint)
-            data = _payload(page, version_base + step)
-            try:
-                t = self.driver.write_page(page, data, t)
-            except FailStopError:
-                log.refused_writes += 1
-                continue
-            except MediaError as exc:
-                if getattr(exc, "reason", None) is not None:
-                    log.refused_writes += 1
-                else:
-                    log.media_errors += 1
-                continue
-            log.writes += 1
-            self.shadow[page] = data
-        return t
-
-    def verify(self, t: int, log: EpochLog) -> int:
-        """Read back every committed page; any mismatch is data loss."""
-        lost = 0
-        for page in sorted(self.shadow):
-            try:
-                data, t = self.driver.read_page(page, t)
-            except MediaError:
-                lost += 1
-                continue
-            if data != self.shadow[page]:
-                lost += 1
-            log.reads += 1
-        log.data_loss += lost
-        return t
+def _churn(leg: Leg, t: int, rng: random.Random, steps: int,
+           version_base: int, log: EpochLog) -> int:
+    """The epoch's hot/cold steps over the shared leg's read and write."""
+    hot_pages = max(1, leg.footprint // _HOT_DIVISOR)
+    for step in range(steps):
+        if leg.shadow and rng.random() < _READ_FRACTION:
+            t = leg.read(rng.choice(sorted(leg.shadow)), t, log)
+            continue
+        if rng.random() < _HOT_WRITE_BIAS:
+            # The hot set is strided: every _HOT_DIVISOR-th page.
+            page = _HOT_DIVISOR * rng.randrange(hot_pages)
+        else:
+            page = rng.randrange(leg.footprint)
+        t = leg.write(page, version_base + step, t, log)
+    return t
 
 
 # -- shard machinery ---------------------------------------------------------------
@@ -537,7 +467,7 @@ def _build_system(config: AgingConfig, tracer: Tracer) -> NVDIMMCSystem:
 
 
 def _strategy_prefix(config: AgingConfig, strategy: str, tracer: Tracer,
-                     ) -> tuple[NVDIMMCSystem, _ShardLeg, int]:
+                     ) -> tuple[NVDIMMCSystem, Leg, int]:
     """Bring-up plus the RNG-free sequential fill, shared by all shards.
 
     After the fill the GC water marks are pinned just below the free
@@ -548,9 +478,9 @@ def _strategy_prefix(config: AgingConfig, strategy: str, tracer: Tracer,
     system = _build_system(config, tracer)
     system.nand.ftl.set_victim_strategy(
         strategy, static_period=config.static_level_period)
-    leg = _ShardLeg(system.driver, {}, config.footprint)
+    leg = Leg(system.driver, config.footprint)
     t = round(us(1))
-    t = leg.fill(t, EpochLog(epoch=0))
+    t = leg.seq_write(t, 0, EpochLog(epoch=0))
     ftl = system.nand.ftl
     low = max(FlashTranslationLayer.GC_LOW_WATER,
               ftl.free_blocks - config.gc_headroom)
@@ -630,8 +560,8 @@ def _age_shard(config: AgingConfig, outcome: ShardOutcome,
         log = EpochLog(epoch=epoch)
         baseline = _wear_baseline(system)
         with use_tracer(state["tracer"]):
-            t = leg.churn(state["t"], state["rng"], config.steps,
-                          epoch * 1_000_000, log)
+            t = _churn(leg, state["t"], state["rng"], config.steps,
+                       epoch * 1_000_000, log)
             trefi = system.spec.trefi_ps
             idle_from = max(t, system.nvmc.ready_ps)
             system.scrubber.patrol(

@@ -1,8 +1,9 @@
 """Export experiment records to CSV / JSON for external analysis.
 
 The benchmark harness prints human tables; this module produces the
-machine-readable forms (one row per comparison) so results can be
-diffed across runs or pulled into a notebook.
+machine-readable forms (one row per comparison): ``repro report``
+writes them as ``results.csv`` and ``results.json``, which CI diffs
+with git.
 """
 
 from __future__ import annotations
@@ -49,44 +50,3 @@ def to_json(records: Iterable[ExperimentRecord]) -> str:
             "notes": list(record.notes),
         })
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def load_json(text: str) -> list[ExperimentRecord]:
-    """Round-trip loader for :func:`to_json` output."""
-    records = []
-    for item in json.loads(text):
-        record = ExperimentRecord(item["experiment_id"], item["title"])
-        for c in item["comparisons"]:
-            record.add(c["label"], c["unit"], c["paper"], c["measured"])
-        for note in item["notes"]:
-            record.note(note)
-        records.append(record)
-    return records
-
-
-def diff_runs(old: list[ExperimentRecord],
-              new: list[ExperimentRecord],
-              tolerance: float = 0.02) -> list[str]:
-    """Regression check between two exported runs.
-
-    Returns human-readable lines for every measured value that moved by
-    more than ``tolerance`` (relative); empty list = no drift.
-    """
-    old_index = {(r.experiment_id, c.label, c.unit): c.measured
-                 for r in old for c in r.comparisons}
-    drifts = []
-    for record in new:
-        for c in record.comparisons:
-            key = (record.experiment_id, c.label, c.unit)
-            if key not in old_index:
-                drifts.append(f"NEW {key}: {c.measured:g}")
-                continue
-            before = old_index[key]
-            if before == 0:
-                moved = c.measured != 0
-            else:
-                moved = abs(c.measured - before) / abs(before) > tolerance
-            if moved:
-                drifts.append(
-                    f"DRIFT {key}: {before:g} -> {c.measured:g}")
-    return drifts

@@ -5,6 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def order_statistic(samples: list[int], fraction: float) -> int:
+    """The sample at index ``int(fraction * n)`` of the sorted samples,
+    clamped to the last one (0 for no samples).  Harness reports use
+    it; :meth:`LatencyAccumulator.percentile_ps` is nearest-rank."""
+    if not samples:
+        return 0
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+
 class LatencyAccumulator:
     """Collects per-op latencies (ps) and answers summary queries."""
 

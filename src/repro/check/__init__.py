@@ -16,8 +16,7 @@ hardware is exposed to:
   ``src/repro`` enforcing determinism and unit hygiene rules that no
   runtime check can see: no wall-clock or unseeded randomness inside
   simulation modules, no float arithmetic assigned into ``*_ps``/``*_ns``
-  variables, paper-source comments on calibration constants, DES process
-  generators yielding only engine events, paired resource acquire/release.
+  variables, paper-source comments on calibration constants.
 
 A third, whole-program half sits on top of the per-module lint:
 
@@ -25,7 +24,7 @@ A third, whole-program half sits on top of the per-module lint:
   extracts a registry of every hook-site and trace-event string in the
   tree, cross-checks producers against consumers (sanitizer-expected
   events, fault-cut filters), and runs crash-safety and determinism
-  dataflow rules REPRO006–REPRO012 over the crash-exposed modules.
+  dataflow rules REPRO006–REPRO013 over the crash-exposed modules.
   ``repro check --static`` is the entry point; CI runs it blocking
   against the committed ``baselines/static.json``.
 

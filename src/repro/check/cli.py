@@ -9,9 +9,10 @@ Modes:
 * ``--static`` — run the whole-program pass
   (:mod:`repro.check.xstatic`): hook-site/trace-event registry
   extraction with producer/consumer cross-checks (REPRO011/012),
-  crash-safety dataflow rules (REPRO006/007) and determinism rules
-  (REPRO008/009/010).  ``--format json`` emits a machine-readable
-  report, checked against ``xstatic.SHAPE`` first (a problem exits 2);
+  crash-safety dataflow rules (REPRO006/007), determinism rules
+  (REPRO008/009/010) and the snapshot-coverage rule (REPRO013).
+  ``--format json`` emits a machine-readable report, checked against
+  ``xstatic.SHAPE`` first (a problem exits 2);
   ``--baseline FILE`` suppresses previously accepted findings
   (``--write-baseline`` records the current findings into it); the
   exit status is non-zero only for non-baselined findings.
@@ -179,7 +180,7 @@ def build_parser(sub_or_none: "argparse._SubParsersAction | None" = None
                           "analysis")
     parser.add_argument("--static", action="store_true",
                         help="run the whole-program static pass "
-                             "(registry cross-checks, REPRO006-012)")
+                             "(registry cross-checks, REPRO006-013)")
     parser.add_argument("--root", default=None, metavar="DIR",
                         help="package tree to analyze "
                              "(default: src/repro or the installed "

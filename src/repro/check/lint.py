@@ -79,7 +79,7 @@ def _suppressed(source_lines: list[str], line: int, code: str) -> bool:
 
 
 class _SimRulesVisitor(ast.NodeVisitor):
-    """REPRO001/2/4/5 over one module's AST."""
+    """REPRO001/2 over one module's AST."""
 
     def __init__(self, path: str) -> None:
         self.path = path

@@ -2,21 +2,18 @@
 
 A suite collects violations for a post-run report: ``python -m repro
 check run``, the pytest fixture and every harness gate read them after
-the run.  A violation is also a :class:`~repro.errors.ReproError`, so a
-caller can raise one as an error.
+the run.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ReproError
-
 if TYPE_CHECKING:
     from repro.sim.trace import TraceRecord
 
 
-class SanitizerViolation(ReproError):
+class SanitizerViolation:
     """A protocol invariant observed broken in the trace stream.
 
     Attributes:
@@ -35,7 +32,6 @@ class SanitizerViolation(ReproError):
                  record: "TraceRecord | None" = None,
                  context: "tuple[TraceRecord, ...]" = (),
                  **details: Any) -> None:
-        super().__init__(f"[{sanitizer}:{rule}] {message}")
         self.sanitizer = sanitizer
         self.rule = rule
         self.message = message
@@ -43,13 +39,8 @@ class SanitizerViolation(ReproError):
         self.context = context
         self.details = details
 
-    def __reduce__(self):
-        # ``args`` holds only the formatted message, which the default
-        # exception reduce cannot rebuild from.  Snapshots carry the
-        # violations a suite has collected, so a fork must restore them.
-        return (_rebuild, (type(self), self.sanitizer, self.rule,
-                           self.message, self.record, self.context,
-                           self.details))
+    def __str__(self) -> str:
+        return f"[{self.sanitizer}:{self.rule}] {self.message}"
 
     def report(self) -> str:
         """Multi-line human-readable report with the trace window."""
@@ -61,11 +52,3 @@ class SanitizerViolation(ReproError):
             lines.append("  trace window (newest last):")
             lines.extend(f"    {r}" for r in self.context)
         return "\n".join(lines)
-
-
-def _rebuild(cls: type[SanitizerViolation], sanitizer: str, rule: str,
-             message: str, record: "TraceRecord | None",
-             context: "tuple[TraceRecord, ...]",
-             details: dict[str, Any]) -> SanitizerViolation:
-    return cls(sanitizer, rule, message, record=record, context=context,
-               **details)

@@ -5,14 +5,15 @@ Commands:
 * ``experiments [ids...]`` — run experiment modules (default: all) and
   print their paper-vs-measured records; ``--jobs N|auto`` fans them
   out over worker processes.
-* ``report`` — regenerate EXPERIMENTS.md.
+* ``report`` — run every experiment and regenerate EXPERIMENTS.md,
+  results.csv and results.json.
 * ``tables`` — render the static tables (Table I/II, design space,
   arbitration and variant comparisons).
 * ``fio`` — an ad-hoc FIO run against a chosen device tier.
 * ``validate`` — the §VII-A aging test.
 * ``check`` — correctness tooling: ``check lint`` (AST invariant
   passes), ``check --static`` (whole-program hook/trace registry
-  cross-checks plus the REPRO006–012 crash-safety and determinism
+  cross-checks plus the REPRO006–013 crash-safety and determinism
   rules) and ``check run --sanitize <experiment>`` (sanitized run).
 * ``faults`` — deterministic fault-injection campaigns:
   ``faults run [--quick] [--only ids]`` executes the (fault x workload)
@@ -52,8 +53,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as report_main
-    report_main(["--jobs", str(args.jobs)])
+    from repro.experiments.runner import write_report
+    write_report(jobs=args.jobs)
     return 0
 
 
@@ -116,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes: an integer or 'auto'")
     p_exp.set_defaults(fn=_cmd_experiments)
 
-    p_rep = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
+    p_rep = sub.add_parser("report", help="regenerate EXPERIMENTS.md, "
+                                          "results.csv and results.json")
     p_rep.add_argument("--jobs", default="1",
                        help="worker processes: an integer or 'auto'")
     p_rep.set_defaults(fn=_cmd_report)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+from repro.analysis.export import to_csv, to_json
 from repro.analysis.results import ExperimentRecord
 from repro.errors import ConfigError
 from repro.util import resolve_jobs  # noqa: F401  (re-export: long-time home)
@@ -118,10 +119,10 @@ def to_markdown(records: list[ExperimentRecord]) -> str:
     lines = [
         "# EXPERIMENTS — paper vs measured",
         "",
-        "Regenerate with `python -m repro.experiments.runner` (or",
-        "`pytest benchmarks/`).  `x` columns are measured/paper ratios;",
-        "absolute numbers come from the calibrated simulator, shapes are",
-        "predictions (see DESIGN.md §5 for the fidelity argument).",
+        "Regenerate with `python -m repro report`.  `x` columns are",
+        "measured/paper ratios; absolute numbers come from the calibrated",
+        "simulator, shapes are predictions (see DESIGN.md §5 for the",
+        "fidelity argument).",
         "",
         "## Summary",
         "",
@@ -153,27 +154,15 @@ def to_markdown(records: list[ExperimentRecord]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> None:
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="Run all experiments and regenerate the report files")
-    parser.add_argument("--jobs", default="1",
-                        help="worker processes: an integer or 'auto' "
-                             "(one per CPU); default 1 (serial)")
-    args = parser.parse_args(argv)
-    records = run_all(jobs=args.jobs)
-    path = "EXPERIMENTS.md"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_markdown(records))
-    from repro.analysis.export import to_csv, to_json
-    with open("results.csv", "w", encoding="utf-8") as handle:
-        handle.write(to_csv(records))
-    with open("results.json", "w", encoding="utf-8") as handle:
-        handle.write(to_json(records))
-    print(f"wrote {path} (+ results.csv, results.json) with "
+def write_report(jobs: int | str | None = 1) -> None:
+    """Run every experiment and write ``EXPERIMENTS.md``,
+    ``results.csv`` and ``results.json`` to the working directory
+    (``python -m repro report``)."""
+    records = run_all(jobs=jobs)
+    for path, text in (("EXPERIMENTS.md", to_markdown(records)),
+                       ("results.csv", to_csv(records)),
+                       ("results.json", to_json(records))):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    print(f"wrote EXPERIMENTS.md (+ results.csv, results.json) with "
           f"{len(records)} experiment records")
-
-
-if __name__ == "__main__":
-    main()

@@ -10,9 +10,10 @@ Every cell is a pure function of ``(fault, workload, seed)``:
   :func:`~repro.check.sanitizer.default_suite` attached — a faulted run
   must not only recover its data, it must keep every protocol invariant
   the sanitizers encode (with the §V-C drain exemption);
-* every committed write is mirrored into a shadow dict and read back
-  after the fault (for power-loss cells: after drain, remount and
-  journal replay), so ``lost`` counts real end-to-end data loss, never
+* a DAX cell's :class:`~repro.workloads.shadow.Leg` mirrors every
+  committed write into its shadow and reads the shadow back after the
+  fault (for power-loss cells: after drain, remount and journal
+  replay), so ``lost`` counts real end-to-end data loss, never
   inferred loss.
 
 The cache is sized *below* the workload footprint (128 slots vs a
@@ -30,7 +31,7 @@ from typing import Callable
 from repro.check.sanitizer import default_suite
 from repro.device.nvdimmc import NVDIMMCSystem
 from repro.device.power import PowerFailureModel
-from repro.errors import ConfigError, MediaError, PowerLossInterrupt
+from repro.errors import ConfigError, PowerLossInterrupt
 from repro.faults.clock import FaultClock
 from repro.faults.injectors import INJECTORS, ArmContext, Injector, \
     injector_names
@@ -39,6 +40,7 @@ from repro.faults.report import SCHEMA
 from repro.report import Gate, Gated
 from repro.sim.trace import Tracer, use_tracer
 from repro.units import PAGE_4K, kb, mb, us
+from repro.workloads.shadow import Counts, Leg, payload
 
 #: Device pages each DAX workload touches; deliberately 2.5x the
 #: 128-slot cache so evictions (and their writebacks) are constant.
@@ -185,63 +187,7 @@ def run_campaign(seed: int = 0, quick: bool = False,
     return result
 
 
-# -- DAX workloads ----------------------------------------------------------------
-
-
-def _payload(page: int, version: int) -> bytes:
-    head = page.to_bytes(4, "little") + version.to_bytes(4, "little")
-    return head + bytes([(page * 131 + version * 29) % 256]) * (PAGE_4K - 8)
-
-
-def _wl_seq_write(driver, rng: random.Random, shadow: dict[int, bytes],
-                  t: int, faults: dict[str, int]) -> int:
-    for page in range(FOOTPRINT_PAGES):
-        data = _payload(page, 0)
-        try:
-            t = driver.write_page(page, data, t)
-        except MediaError:
-            faults["media_errors"] += 1
-            continue
-        shadow[page] = data
-    return t
-
-
-def _wl_rand_rw(driver, rng: random.Random, shadow: dict[int, bytes],
-                t: int, faults: dict[str, int]) -> int:
-    for step in range(FOOTPRINT_PAGES):
-        if shadow and rng.random() < 0.3:
-            page = rng.choice(sorted(shadow))
-            try:
-                _data, t = driver.read_page(page, t)
-            except MediaError:
-                faults["media_errors"] += 1
-        else:
-            page = rng.randrange(FOOTPRINT_PAGES)
-            data = _payload(page, 1 + step)
-            try:
-                t = driver.write_page(page, data, t)
-            except MediaError:
-                faults["media_errors"] += 1
-                continue
-            shadow[page] = data
-    return t
-
-
-_WORKLOADS = {"seq-write": _wl_seq_write, "rand-rw": _wl_rand_rw}
-
-
-def _verify(driver, shadow: dict[int, bytes], t: int) -> list[int]:
-    """Pages whose end-to-end readback no longer matches the shadow."""
-    lost: list[int] = []
-    for page in sorted(shadow):
-        try:
-            data, t = driver.read_page(page, t)
-        except MediaError:
-            lost.append(page)
-            continue
-        if data != shadow[page]:
-            lost.append(page)
-    return lost
+# -- DAX cells --------------------------------------------------------------------
 
 
 def _run_dax_cell(injector: Injector, workload_name: str, cseed: int,
@@ -264,12 +210,15 @@ def _run_dax_cell(injector: Injector, workload_name: str, cseed: int,
 
     cell = CellResult(fault=injector.name, workload=workload_name,
                       cell_seed=cseed, recoverable=injector.recoverable)
-    shadow: dict[int, bytes] = {}
-    faults = {"media_errors": 0}
+    leg = Leg(system.driver, FOOTPRINT_PAGES)
+    counts = Counts()
     interrupts = 0
     t = round(us(1))
     try:
-        t = _WORKLOADS[workload_name](system.driver, rng, shadow, t, faults)
+        if workload_name == "seq-write":
+            t = leg.seq_write(t, 0, counts)
+        else:
+            t = leg.rand_rw(t, rng, FOOTPRINT_PAGES, 1, counts)
     except PowerLossInterrupt as exc:
         interrupts += 1
         t = max(t, exc.time_ps)
@@ -282,27 +231,28 @@ def _run_dax_cell(injector: Injector, workload_name: str, cseed: int,
         except PowerLossInterrupt:
             interrupts += 1
         replay = power.recover().replay()
-        fresh = system.remount()
-        lost_pages = _verify(fresh.driver, shadow, t)
+        leg.driver = system.remount().driver
+        leg.verify(t, counts)
         cell.injected = clock.fired
         cell.detected = interrupts
         cell.recovered = replay.pages_recovered
-        cell.lost = len(lost_pages)
+        cell.lost = counts.data_loss
         cell.notes = {
             "replay_recovered": replay.pages_recovered,
             "replay_lost": replay.pages_lost,
             "replay_crc_mismatches": len(replay.crc_mismatches),
             "drain_pending": power.journal.pending,
-            "committed_pages": len(shadow),
+            "committed_pages": len(leg.shadow),
         }
     else:
-        lost_pages = _verify(system.driver, shadow, t)
+        leg.verify(t, counts)
         cell.injected, cell.detected = injector.tally(ctx)
-        cell.lost = len(lost_pages)
+        cell.lost = counts.data_loss
         cell.recovered = max(0, cell.injected - cell.lost)
+        # Every write or read that raised a MediaError, refusals too.
         cell.notes = {
-            "media_errors": faults["media_errors"],
-            "committed_pages": len(shadow),
+            "media_errors": counts.media_errors + counts.refused_writes,
+            "committed_pages": len(leg.shadow),
         }
     return cell
 
@@ -345,11 +295,11 @@ def _run_stream_cell(injector: Injector, workload_name: str,
     t = round(us(1))
     for i in range(80):
         page = i % 16
-        payload = _payload(page, i)
-        agent.queue_write(scratch_base + page * PAGE_4K, payload)
-        scratch[page] = payload
+        data = payload(page, i)
+        agent.queue_write(scratch_base + page * PAGE_4K, data)
+        scratch[page] = data
     for k in range(4):
-        data = _payload(k, 1000 + k)
+        data = payload(k, 1000 + k)
         t = imc.host_write(k * PAGE_4K, data, t)
         host[k] = data
     # Run well past the last armed noise burst so the detector rides

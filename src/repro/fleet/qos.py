@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# The fleet's name for the shared order statistic; perfbench's
+# ``fleet`` workload imports it from here.
+from repro.analysis.stats import order_statistic as percentile_ps
 from repro.fleet.tenants import TenantSLO, TenantSpec
-
-
-def percentile_ps(samples: list[int], fraction: float) -> int:
-    """Order-statistic percentile (0 for an empty sample set)."""
-    if not samples:
-        return 0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 @dataclass

@@ -53,8 +53,11 @@ from repro.health.retry import RetryPolicy
 from repro.recovery import recover_mount
 from repro.sim.snapshot import SimSnapshot
 from repro.sim.trace import Tracer, use_tracer
-from repro.units import PAGE_4K, kb, mb, us
+from repro.units import kb, mb, us
 from repro.workloads.mixed_load import _check_record, _make_record
+# The serve loop names its bytes ``payload``; the test page is imported
+# under another name.
+from repro.workloads.shadow import payload as test_page
 
 #: Simulated time a cold remount costs the cut shard (drain + media
 #: scan + driver bring-up) before it serves again.
@@ -201,12 +204,6 @@ def tenant_bases(tenants: tuple[TenantSpec, ...]) -> tuple[int, ...]:
     return tuple(bases)
 
 
-def _filler(page: int, version: int) -> bytes:
-    """Non-integrity 4 KB payload (ingest / analytics writes)."""
-    head = page.to_bytes(4, "little") + version.to_bytes(4, "little")
-    return head + bytes([(page * 193 + version * 67) % 256]) * (PAGE_4K - 8)
-
-
 def build_prefix(tenants: tuple[TenantSpec, ...], quick: bool,
                  seed: int,
                  health_policy: HealthPolicy | None = None
@@ -244,7 +241,7 @@ def build_prefix(tenants: tuple[TenantSpec, ...], quick: bool,
                     if tenant.mix == "mixed":
                         data = _make_record(index, 0, page)
                     else:
-                        data = _filler(page, 0)
+                        data = test_page(page, 0)
                     t = system.driver.write_page(page, data, t)
                     pages += 1
             service_est_ps = max(1, (t - start) // max(1, pages))
@@ -368,7 +365,7 @@ def serve_shard(snapshot: SimSnapshot, plan: ShardPlan,
                             payload = _make_record(req.tenant,
                                                    req.version, page)
                         else:
-                            payload = _filler(page, req.version)
+                            payload = test_page(page, req.version)
                         end = system.driver.write_page(page, payload, at)
                         return "ok", end, payload, attempts
                     payload, end = system.driver.read_page(page, at)

@@ -41,6 +41,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.analysis.stats import order_statistic
 from repro.check.sanitizer import default_suite
 from repro.device.nvdimmc import NVDIMMCSystem
 from repro.errors import FailStopError, MediaError
@@ -50,7 +51,8 @@ from repro.nvmc.nvmc import CPFaultPort
 from repro.report import Gate, Gated
 from repro.sim.snapshot import SimSnapshot
 from repro.sim.trace import Tracer, use_tracer
-from repro.units import PAGE_4K, kb, mb, us
+from repro.units import kb, mb, us
+from repro.workloads.shadow import Leg, payload
 
 #: Device pages the soak workload touches; 2.5x the 128-slot cache so
 #: evictions (and their writeback fault sites) are constant.
@@ -189,104 +191,6 @@ class SoakResult(Gated):
         }
 
 
-# -- workload legs (shared by the soak system and its fault-free twin) ------------
-
-
-def _payload(page: int, version: int) -> bytes:
-    head = page.to_bytes(4, "little") + version.to_bytes(4, "little")
-    return head + bytes([(page * 137 + version * 31) % 256]) * (PAGE_4K - 8)
-
-
-def _percentile(samples: list[int], fraction: float) -> int:
-    if not samples:
-        return 0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
-
-
-class _Leg:
-    """Workload-leg runner over one driver, collecting op latencies."""
-
-    def __init__(self, driver, shadow: dict[int, bytes],
-                 footprint: int) -> None:
-        self.driver = driver
-        self.shadow = shadow
-        self.footprint = footprint
-        self.latencies: list[int] = []
-
-    def seq_write(self, t: int, version: int, rnd: SoakRound,
-                  sample: bool = False) -> int:
-        for page in range(self.footprint):
-            data = _payload(page, version)
-            try:
-                end = self.driver.write_page(page, data, t)
-            except FailStopError:
-                rnd.refused_writes += 1
-                continue
-            except MediaError as exc:
-                if getattr(exc, "reason", None) is not None:
-                    rnd.refused_writes += 1
-                else:
-                    rnd.media_errors += 1
-                continue
-            if sample:
-                self.latencies.append(max(0, end - t))
-            t = end
-            rnd.writes += 1
-            self.shadow[page] = data
-        return t
-
-    def rand_rw(self, t: int, rng: random.Random, steps: int,
-                version_base: int, rnd: SoakRound,
-                sample: bool = False) -> int:
-        for step in range(steps):
-            if self.shadow and rng.random() < 0.3:
-                page = rng.choice(sorted(self.shadow))
-                try:
-                    _data, end = self.driver.read_page(page, t)
-                except MediaError:
-                    rnd.media_errors += 1
-                    continue
-                rnd.reads += 1
-            else:
-                page = rng.randrange(self.footprint)
-                data = _payload(page, version_base + step)
-                try:
-                    end = self.driver.write_page(page, data, t)
-                except FailStopError:
-                    rnd.refused_writes += 1
-                    continue
-                except MediaError as exc:
-                    if getattr(exc, "reason", None) is not None:
-                        rnd.refused_writes += 1
-                    else:
-                        rnd.media_errors += 1
-                    continue
-                rnd.writes += 1
-                self.shadow[page] = data
-            if sample:
-                self.latencies.append(max(0, end - t))
-            t = end
-        return t
-
-    def verify(self, t: int, rnd: SoakRound) -> int:
-        """Read back every committed page; mismatches are data loss."""
-        lost = 0
-        for page in sorted(self.shadow):
-            try:
-                data, end = self.driver.read_page(page, t)
-            except MediaError:
-                lost += 1
-                continue
-            if data != self.shadow[page]:
-                lost += 1
-            t = end
-            rnd.reads += 1
-        rnd.data_loss += lost
-        return t
-
-
 # -- the soak itself ---------------------------------------------------------------
 
 
@@ -331,17 +235,16 @@ def run_soak(seed: int = 0, quick: bool = False,
                         scrub_windows, progress)
     twin_latencies, twin_violations = _fork_twin(snap, soak_seed, steps)
     result.violations = len(suite.violations) + twin_violations
-    result.clean_p50_ps = _percentile(twin_latencies, 0.50)
-    result.clean_p99_ps = _percentile(twin_latencies, 0.99)
+    result.clean_p50_ps = order_statistic(twin_latencies, 0.50)
+    result.clean_p99_ps = order_statistic(twin_latencies, 0.99)
     return result
 
 
 def _soak_prefix(seed: int, footprint: int, tracer: Tracer,
-                 ) -> tuple[NVDIMMCSystem, "_Leg", SoakRound, int]:
+                 ) -> tuple[NVDIMMCSystem, Leg, SoakRound, int]:
     """Bring-up plus the sequential fill: the RNG-free shared prefix."""
     system = _build_system(seed, tracer)
-    shadow: dict[int, bytes] = {}
-    leg = _Leg(system.driver, shadow, footprint)
+    leg = Leg(system.driver, footprint)
     rnd = SoakRound(name="baseline",
                     health_before=system.health.state.label)
     t = round(us(1))
@@ -373,7 +276,7 @@ def _fork_twin(snap: SimSnapshot, seed: int,
     return leg.latencies, len(suite.violations)
 
 
-def _run_rounds(result: SoakResult, system: NVDIMMCSystem, leg: "_Leg",
+def _run_rounds(result: SoakResult, system: NVDIMMCSystem, leg: Leg,
                 rnd: SoakRound, t: int, seed: int, steps: int,
                 scrub_windows: int,
                 progress: Callable[[SoakRound], None] | None) -> None:
@@ -470,7 +373,7 @@ def _run_rounds(result: SoakResult, system: NVDIMMCSystem, leg: "_Leg",
         except FailStopError:
             refused_reads += 1
         try:
-            system.driver.write_page(page, _payload(page, 9_999), t)
+            system.driver.write_page(page, payload(page, 9_999), t)
         except FailStopError:
             refused_writes += 1
     rnd.refused_writes += refused_writes
@@ -497,5 +400,5 @@ def _run_rounds(result: SoakResult, system: NVDIMMCSystem, leg: "_Leg",
     }
     soak_latencies = leg.latencies
     result.samples = len(soak_latencies)
-    result.soak_p50_ps = _percentile(soak_latencies, 0.50)
-    result.soak_p99_ps = _percentile(soak_latencies, 0.99)
+    result.soak_p50_ps = order_statistic(soak_latencies, 0.50)
+    result.soak_p99_ps = order_statistic(soak_latencies, 0.99)

@@ -65,6 +65,7 @@ from repro.report import Gate, Gated
 from repro.sim.snapshot import SimSnapshot, SnapshotTimeline
 from repro.sim.trace import Tracer, use_tracer
 from repro.units import PAGE_4K, kb, mb, us
+from repro.workloads.shadow import payload
 
 #: Pages the workload touches; > cache slots so every run evicts.
 FOOTPRINT_PAGES = 40
@@ -227,11 +228,6 @@ class ExplorerResult(Gated):
 # -- the deterministic workload ------------------------------------------------
 
 
-def _payload(page: int, version: int) -> bytes:
-    head = page.to_bytes(4, "little") + version.to_bytes(4, "little")
-    return head + bytes([(page * 197 + version * 31) % 256]) * (PAGE_4K - 8)
-
-
 #: Total workload operations (seq fill + mixed phase): the op index
 #: space the golden run captures snapshots over.
 def _total_ops() -> int:
@@ -256,7 +252,7 @@ def _workload_op(driver, rng: random.Random, acked: dict[int, int],
     replaying from there is bit-identical to having run from zero.
     """
     if op < FOOTPRINT_PAGES:
-        data = _payload(op, 0)
+        data = payload(op, 0)
         t = driver.write_page(op, data, t)
         _record_ack(acked, history, op, data)
         return t
@@ -266,7 +262,7 @@ def _workload_op(driver, rng: random.Random, acked: dict[int, int],
         _data, t = driver.read_page(page, t)
     else:
         page = rng.randrange(FOOTPRINT_PAGES)
-        data = _payload(page, 1 + step)
+        data = payload(page, 1 + step)
         t = driver.write_page(page, data, t)
         _record_ack(acked, history, page, data)
     return t
@@ -317,7 +313,7 @@ def _verify(driver, acked: dict[int, int], history: dict[int, set[int]],
         if last is not None and crc != last:
             outcome.acked_uncommitted += 1
     try:
-        probe = _payload(0, 424242)
+        probe = payload(0, 424242)
         t = driver.write_page(0, probe, t)
         back, t = driver.read_page(0, t)
         outcome.remount_writable = back == probe

@@ -12,6 +12,8 @@
   traces on a HANA-like in-memory engine model (§VII-B5).
 * :mod:`repro.workloads.mixed_load` — the SAP-style concurrent-user
   benchmark with per-transaction data validation (§VII-B5).
+* :mod:`repro.workloads.shadow` — the shadowed host workload that the
+  fault, soak and aging harnesses check zero committed loss with.
 """
 
 from repro.workloads.fio import FIOJob, FIOResult, FIORunner

@@ -1,46 +1,10 @@
-"""Tests for SystemConfig and the generic access-trace module."""
+"""Tests for the generic access-trace module."""
 
 import pytest
 
-from repro.config import (ASIC_CONFIG, EXPERIMENT_CONFIG, PAPER_CONFIG,
-                          SystemConfig)
 from repro.errors import ConfigError
-from repro.units import PAGE_4K, gb, kb, mb
+from repro.units import PAGE_4K, kb, mb
 from repro.workloads.trace import Access, AccessTrace
-
-
-class TestSystemConfig:
-    def test_paper_config_is_table1(self):
-        assert PAPER_CONFIG.cache_bytes == gb(16)
-        assert PAPER_CONFIG.device_bytes == gb(120)
-        assert PAPER_CONFIG.policy == "lrc"
-        assert PAPER_CONFIG.cp_queue_depth == 1
-
-    def test_scaled_preserves_ratio(self):
-        scaled = PAPER_CONFIG.scaled(512)
-        assert (scaled.cache_bytes / scaled.device_bytes
-                == pytest.approx(16 / 120))
-        assert scaled.spec is PAPER_CONFIG.spec
-
-    def test_scaled_rejects_bad_factor(self):
-        with pytest.raises(ConfigError):
-            PAPER_CONFIG.scaled(0)
-
-    def test_cache_larger_than_device_rejected(self):
-        bad = SystemConfig(cache_bytes=gb(16), device_bytes=gb(8))
-        with pytest.raises(ConfigError):
-            bad.validate()
-
-    def test_build_experiment_scale(self):
-        system = EXPERIMENT_CONFIG.scaled(4).build()
-        assert system.capacity_bytes == gb(120) // 1024
-        end = system.op(0, kb(4), False, 0)
-        assert end > 0
-
-    def test_asic_config_is_faster_uncached(self):
-        assert ASIC_CONFIG.firmware_step_ps == 0
-        assert ASIC_CONFIG.nand_phy_mhz == 500
-        assert ASIC_CONFIG.use_merged_commands
 
 
 class TestAccessTrace:

@@ -44,7 +44,6 @@ from repro.fleet.shard import (
     Request,
     ShardPlan,
     ShardResult,
-    _filler,
     build_prefix,
     tenant_bases,
 )
@@ -54,6 +53,7 @@ from repro.sim.snapshot import SimSnapshot
 from repro.sim.trace import Tracer, use_tracer
 from repro.units import ms, us
 from repro.workloads.mixed_load import _check_record, _make_record
+from repro.workloads.shadow import payload as _filler
 
 # -- the replaced fleet loop, verbatim: the oracle ----------------------------
 

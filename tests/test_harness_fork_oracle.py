@@ -45,7 +45,9 @@ import repro.aging.campaign as campaign
 import repro.fleet.shard as fleet_shard
 import repro.health.soak as soak
 import repro.recovery.explorer as explorer
+import repro.workloads.shadow as shadow
 from repro.aging.campaign import AgingConfig, AgingResult, run_aging
+from repro.analysis.stats import order_statistic
 from repro.check.sanitizer import default_suite
 from repro.check.sanitizers import TimeSanitizer
 from repro.check.violations import SanitizerViolation
@@ -222,7 +224,7 @@ def soak_harness(inject: str | None):
     prefix (``"prefix"``) or at the start of the twin's first leg
     (``"twin"``), or one violation per suite at detach (``"detach"``)."""
     real_prefix = soak._soak_prefix
-    real_rand_rw = soak._Leg.rand_rw
+    real_rand_rw = shadow.Leg.rand_rw
 
     def soak_prefix(*args):
         out = real_prefix(*args)
@@ -238,7 +240,7 @@ def soak_harness(inject: str | None):
     with pytest.MonkeyPatch.context() as mp, \
             violation_at_detach(inject == "detach"):
         mp.setattr(soak, "_soak_prefix", soak_prefix)
-        mp.setattr(soak._Leg, "rand_rw", rand_rw)
+        mp.setattr(shadow.Leg, "rand_rw", rand_rw)
         yield mp
 
 
@@ -272,8 +274,8 @@ def soak_from_zero(seed: int) -> SoakResult:
                              scrub_windows=32, progress=None)
     latencies, twin_violations = twin_from_zero(soak_seed, footprint, steps)
     result.violations = len(suite.violations) + twin_violations
-    result.clean_p50_ps = soak._percentile(latencies, 0.50)
-    result.clean_p99_ps = soak._percentile(latencies, 0.99)
+    result.clean_p50_ps = order_statistic(latencies, 0.50)
+    result.clean_p99_ps = order_statistic(latencies, 0.99)
     return result
 
 

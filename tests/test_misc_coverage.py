@@ -3,14 +3,22 @@ replay on NVDIMM-C."""
 
 import os
 
-from repro.config import ASIC_CONFIG, EXPERIMENT_CONFIG
+from repro.device.nvdimmc import NVDIMMCSystem
+from repro.experiments.common import asic_firmware
 from repro.units import PAGE_4K, kb, mb
 from repro.workloads.trace import Access, AccessTrace
 
 
+def asic() -> dict:
+    """The §VII-C ASIC what-if, as ``experiments.ablations`` builds it."""
+    return {"firmware": asic_firmware(), "nand_phy_mhz": 500,
+            "use_merged_commands": True}
+
+
 class TestConfigBuilds:
     def test_asic_config_builds_and_runs(self):
-        system = ASIC_CONFIG.scaled(4).build()
+        system = NVDIMMCSystem(cache_bytes=mb(16), device_bytes=mb(120),
+                               **asic())
         assert system.driver.use_merged_commands
         assert system.nvmc.firmware.step_ps == 0
         end = system.op(0, kb(4), False, 0)
@@ -18,8 +26,9 @@ class TestConfigBuilds:
 
     def test_experiment_config_uncached_vs_asic(self):
         """The ASIC configuration beats the PoC on the miss path."""
-        def miss_latency(config):
-            system = config.scaled(16).build()
+        def miss_latency(**config):
+            system = NVDIMMCSystem(cache_bytes=mb(4), device_bytes=mb(30),
+                                   **config)
             nslots = system.region.num_slots
             system.nand.preload(nslots + 1, b"\x11" * PAGE_4K)
             t = 0
@@ -29,12 +38,11 @@ class TestConfigBuilds:
             end = system.op((nslots + 1) * PAGE_4K, kb(4), False, start)
             return end - start
 
-        assert miss_latency(ASIC_CONFIG) < miss_latency(EXPERIMENT_CONFIG)
+        assert miss_latency(**asic()) < miss_latency()
 
 
 class TestTraceReplayOnNvdc:
     def test_replay_exercises_the_miss_path(self):
-        from repro.device.nvdimmc import NVDIMMCSystem
         system = NVDIMMCSystem(cache_bytes=mb(2), device_bytes=mb(16))
         trace = AccessTrace([Access(i * PAGE_4K, kb(4), i % 2 == 0)
                              for i in range(20)])
@@ -43,7 +51,6 @@ class TestTraceReplayOnNvdc:
         assert system.driver.stats.misses == 20
 
     def test_replay_respects_now_floor(self):
-        from repro.device.nvdimmc import NVDIMMCSystem
         system = NVDIMMCSystem(cache_bytes=mb(2), device_bytes=mb(16))
         trace = AccessTrace([Access(0, kb(4), False)])
         first_end = trace.replay(system)
