@@ -12,20 +12,31 @@ coherence fabric, so
 This model is a write-back, write-allocate LRU cache over a pluggable
 memory backend.  It is *data-functional*: the coherence experiments
 assert byte-exact outcomes; timing belongs to ``repro.perf``.
+
+A load or store walks its line addresses once.  A hit is a dict lookup
+and an LRU bump; a miss reads the whole run of consecutive missing lines
+with one backend read, then inserts them one at a time in address order,
+each insertion counting one miss and evicting exactly as a per-line fill
+would.  That matters after a cachefill: ``invalidate_range`` leaves the
+page's 64 lines missing, and the next 4 KB load fills them with a single
+backend read instead of 64.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Iterator, Protocol
 
 from repro.cpu.cacheline import CacheLine, line_addr, lines_covering
 from repro.units import CACHELINE
 
 
 class MemoryBackend(Protocol):
-    """What the cache sits in front of (ultimately the DRAM device)."""
+    """What the cache sits in front of (ultimately the DRAM device).
+
+    ``mem_read`` may be asked for several consecutive lines at once.
+    """
 
     def mem_read(self, addr: int, nbytes: int) -> bytes: ...
 
@@ -65,24 +76,57 @@ class CPUCache:
     # -- loads/stores ------------------------------------------------------------
 
     def load(self, addr: int, nbytes: int) -> bytes:
-        """Read ``nbytes``, filling lines from the backend on miss."""
-        out = bytearray()
-        for la in lines_covering(addr, nbytes):
-            line = self._get_line(la)
-            start = max(addr, la) - la
-            end = min(addr + nbytes, la + CACHELINE) - la
-            out.extend(line.read(start, end - start))
-        return bytes(out)
+        """Read ``nbytes``, filling each run of missing lines with one
+        backend read."""
+        lines = self._lines
+        stats = self.stats
+        first = la = line_addr(addr)
+        last = line_addr(addr + nbytes - 1)
+        parts: list[bytearray] = []
+        while la <= last:
+            line = lines.get(la)
+            if line is None:
+                for line in self._fill_run(la, last):
+                    parts.append(line.data)
+                la = line.addr + CACHELINE
+                continue
+            stats.hits += 1
+            lines.move_to_end(la)
+            parts.append(line.data)
+            la += CACHELINE
+        start = addr - first
+        return b"".join(parts)[start:start + nbytes]
 
     def store(self, addr: int, data: bytes) -> None:
-        """Write ``data``, allocating lines on miss (write-allocate)."""
-        offset = 0
-        for la in lines_covering(addr, len(data)):
-            line = self._get_line(la)
-            start = max(addr, la) - la
-            end = min(addr + len(data), la + CACHELINE) - la
-            line.write(start, data[offset:offset + (end - start)])
-            offset += end - start
+        """Write ``data``, allocating lines on miss (write-allocate).
+
+        Each line of a missed run is written before the next one is
+        inserted, so a run longer than the cache evicts written lines,
+        never lines still waiting for their bytes.
+        """
+        lines = self._lines
+        stats = self.stats
+        la = line_addr(addr)
+        last = line_addr(addr + len(data) - 1)
+        head = addr - la          # where the first line's bytes start
+        pos = 0                   # the next byte of ``data`` to write
+        while la <= last:
+            line = lines.get(la)
+            run: Iterable[CacheLine]
+            if line is None:
+                run = self._fill_run(la, last)
+            else:
+                stats.hits += 1
+                lines.move_to_end(la)
+                run = (line,)
+            for line in run:
+                piece = data[pos:pos + CACHELINE - head]
+                n = len(piece)
+                line.data[head:head + n] = piece
+                line.dirty = True
+                pos += n
+                head = 0
+            la = line.addr + CACHELINE
 
     # -- explicit coherence (the §V-B toolbox) --------------------------------------
 
@@ -121,8 +165,11 @@ class CPUCache:
 
     def invalidate_range(self, addr: int, nbytes: int) -> None:
         """Invalidate every line of a byte range (post-cachefill sweep)."""
-        for la in lines_covering(addr, nbytes):
-            self.invalidate(la)
+        covered = lines_covering(addr, nbytes)
+        pop = self._lines.pop
+        for la in covered:
+            pop(la, None)
+        self.stats.invalidates += len(covered)
 
     def sfence(self) -> None:
         """Order prior flushes; counted for the overhead model."""
@@ -147,19 +194,33 @@ class CPUCache:
 
     # -- internals ------------------------------------------------------------------------
 
-    def _get_line(self, la: int) -> CacheLine:
-        line = self._lines.get(la)
-        if line is not None:
-            self.stats.hits += 1
-            self._lines.move_to_end(la)
-            return line
-        self.stats.misses += 1
-        data = bytearray(self.backend.mem_read(la, CACHELINE))
-        line = CacheLine(addr=la, data=data)
-        self._lines[la] = line
-        if len(self._lines) > self.capacity_lines:
-            self._evict_lru()
-        return line
+    def _fill_run(self, first: int, last: int) -> Iterator[CacheLine]:
+        """Fill the run of missing lines that starts at ``first``.
+
+        The run ends at the first line already cached or after ``last``.
+        One backend read covers it; each line then counts a miss, is
+        inserted (evicting past capacity) and is yielded before the next
+        one goes in.  Reading only missing lines keeps a cached (maybe
+        dirty) line from being replaced by stale backend bytes.  An
+        out-of-range run raises in that one read, before any of its
+        lines is filled; cache accesses are slot addresses inside the
+        reserved region, so no caller reaches it.
+        """
+        lines = self._lines
+        stop = first + CACHELINE
+        while stop <= last and stop not in lines:
+            stop += CACHELINE
+        data = bytearray(self.backend.mem_read(first, stop - first))
+        stats = self.stats
+        capacity = self.capacity_lines
+        for la in range(first, stop, CACHELINE):
+            stats.misses += 1
+            offset = la - first
+            line = CacheLine(addr=la, data=data[offset:offset + CACHELINE])
+            lines[la] = line
+            if len(lines) > capacity:
+                self._evict_lru()
+            yield line
 
     def _evict_lru(self) -> None:
         la, line = self._lines.popitem(last=False)

@@ -21,15 +21,6 @@ class CacheLine:
         if len(self.data) != CACHELINE:
             raise ValueError("cacheline payload must be 64 B")
 
-    def read(self, offset: int, nbytes: int) -> bytes:
-        """Read within the line."""
-        return bytes(self.data[offset:offset + nbytes])
-
-    def write(self, offset: int, payload: bytes) -> None:
-        """Write within the line and mark it dirty."""
-        self.data[offset:offset + len(payload)] = payload
-        self.dirty = True
-
 
 def line_addr(addr: int) -> int:
     """The aligned address of the line containing ``addr``."""

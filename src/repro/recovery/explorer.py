@@ -58,7 +58,7 @@ from typing import Callable
 from repro.check.sanitizer import default_suite
 from repro.device.nvdimmc import NVDIMMCSystem
 from repro.device.power import PowerFailureModel
-from repro.errors import PowerLossInterrupt
+from repro.errors import CPTimeoutError, MediaError, PowerLossInterrupt
 from repro.faults.clock import FaultClock
 from repro.recovery.mount import recover_mount
 from repro.report import Gate, Gated
@@ -295,8 +295,9 @@ def _verify(driver, acked: dict[int, int], history: dict[int, set[int]],
     for page in range(FOOTPRINT_PAGES):
         try:
             data, t = driver.read_page(page, t)
-        except Exception:
-            # Any read refusal after remount loses whatever was there.
+        except (MediaError, CPTimeoutError):
+            # A read refusal after remount loses whatever was there;
+            # any other exception is a bug and fails the sweep.
             if page in durable:
                 outcome.committed_lost += 1
             continue
@@ -317,7 +318,7 @@ def _verify(driver, acked: dict[int, int], history: dict[int, set[int]],
         t = driver.write_page(0, probe, t)
         back, t = driver.read_page(0, t)
         outcome.remount_writable = back == probe
-    except Exception:
+    except (MediaError, CPTimeoutError):
         outcome.remount_writable = False
 
 

@@ -154,6 +154,35 @@ class TestCoherenceOps:
             assert ram.data[i * CACHELINE] == i
 
 
+class TestRunReads:
+    """A miss reads its run of consecutive missing lines at once."""
+
+    def _invalidated_page(self):
+        ram = RAM()
+        cache = CPUCache(ram)
+        cache.load(0, 4096)                    # CPU caches the old page
+        ram.data[0:4096] = bytes(range(256)) * 16   # cachefill DMA
+        cache.invalidate_range(0, 4096)
+        return ram, cache
+
+    def test_page_load_after_invalidate_is_one_read(self):
+        ram, cache = self._invalidated_page()
+        reads, misses = ram.reads, cache.stats.misses
+        assert cache.load(0, 4096) == bytes(range(256)) * 16
+        assert ram.reads - reads == 1
+        assert cache.stats.misses - misses == 64
+
+    def test_cached_line_splits_the_run(self):
+        ram, cache = self._invalidated_page()
+        cache.load(2048, CACHELINE)            # one line mid-page
+        reads, misses = ram.reads, cache.stats.misses
+        hits = cache.stats.hits
+        assert cache.load(0, 4096) == bytes(range(256)) * 16
+        assert ram.reads - reads == 2
+        assert cache.stats.misses - misses == 63
+        assert cache.stats.hits - hits == 1
+
+
 class TestPropertyBased:
     @given(st.lists(st.tuples(st.integers(0, 1023), st.binary(min_size=1,
                                                               max_size=64)),

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.recovery import explorer
 from repro.recovery.explorer import explore
 from repro.recovery.report import SCHEMA, SHAPE
 from repro.report import check, render_report
@@ -12,6 +13,25 @@ from repro.report import check, render_report
 @pytest.fixture(scope="module")
 def quick_result():
     return explore(seed=0, quick=True)
+
+
+def test_a_bug_after_remount_fails_the_sweep(monkeypatch):
+    """Only a media refusal or CP timeout counts as loss after a cut;
+    a programming error in the mounted driver must propagate."""
+    mount = explorer.recover_mount
+
+    def broken_mount(*args, **kwargs):
+        mounted, report = mount(*args, **kwargs)
+
+        def read_page(page, now_ps):
+            raise TypeError("planted")
+
+        mounted.driver.read_page = read_page
+        return mounted, report
+
+    monkeypatch.setattr(explorer, "recover_mount", broken_mount)
+    with pytest.raises(TypeError, match="planted"):
+        explore(seed=0, quick=True)
 
 
 class TestQuickSweep:
