@@ -1,9 +1,9 @@
 """Export experiment records to CSV / JSON for external analysis.
 
-The benchmark harness prints human tables; this module produces the
-machine-readable forms (one row per comparison): ``repro report``
-writes them as ``results.csv`` and ``results.json``, which CI diffs
-with git.
+The CLI prints human records; this module produces the
+machine-readable forms: ``repro report`` writes them as ``results.csv``
+(one row per comparison) and ``results.json`` (comparisons, notes and
+claims per record), which CI diffs with git.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def to_csv(records: Iterable[ExperimentRecord]) -> str:
 
 
 def to_json(records: Iterable[ExperimentRecord]) -> str:
-    """All records as a JSON document (notes included)."""
+    """All records as a JSON document (notes and claims included)."""
     payload = []
     for record in records:
         payload.append({
@@ -48,5 +48,7 @@ def to_json(records: Iterable[ExperimentRecord]) -> str:
                 for c in record.comparisons
             ],
             "notes": list(record.notes),
+            "claims": [{"text": c.text, "ok": c.ok}
+                       for c in record.claims],
         })
     return json.dumps(payload, indent=2, sort_keys=True)

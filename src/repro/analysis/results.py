@@ -1,8 +1,10 @@
 """Typed experiment records: paper value vs measured value.
 
 Every experiment module emits :class:`ExperimentRecord` rows so that
-EXPERIMENTS.md and the benchmark output share one source of truth for
-"what the paper reports" vs "what the reproduction measures".
+EXPERIMENTS.md, ``results.json`` and the CLI share one source of truth
+for "what the paper reports" vs "what the reproduction measures", and
+for the paper's shape claims (who wins, by what factor, where the
+crossovers fall) each experiment checks over its own numbers.
 """
 
 from __future__ import annotations
@@ -35,6 +37,20 @@ class Comparison:
                 f"{self.measured:.1f} {self.unit}{ratio}")
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One paper-shape claim and whether the measured numbers hold it.
+
+    Plain data, so records still pickle across ``--jobs`` workers; the
+    text states the bound and the paper's number."""
+
+    text: str
+    ok: bool
+
+    def __str__(self) -> str:
+        return f"claim {'held' if self.ok else 'FAILED'}: {self.text}"
+
+
 @dataclass
 class ExperimentRecord:
     """One table/figure reproduction outcome."""
@@ -43,6 +59,7 @@ class ExperimentRecord:
     title: str
     comparisons: list[Comparison] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    claims: list[Claim] = field(default_factory=list)
 
     def add(self, label: str, unit: str, paper: float | None,
             measured: float) -> Comparison:
@@ -52,6 +69,11 @@ class ExperimentRecord:
 
     def note(self, text: str) -> None:
         self.notes.append(text)
+
+    def claim(self, text: str, ok: bool) -> Claim:
+        claim = Claim(text, bool(ok))
+        self.claims.append(claim)
+        return claim
 
     def worst_ratio_error(self) -> float:
         """Largest |log-ratio| across points with paper values."""
@@ -70,4 +92,5 @@ class ExperimentRecord:
         lines = [f"== {self.experiment_id}: {self.title} =="]
         lines.extend(f"  {comparison}" for comparison in self.comparisons)
         lines.extend(f"  note: {note}" for note in self.notes)
+        lines.extend(f"  {claim}" for claim in self.claims)
         return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Plain-text table/series rendering for the benchmark harness."""
+"""Plain-text table rendering (``repro tables``, the design sweeps)."""
 
 from __future__ import annotations
 
@@ -27,14 +27,6 @@ def render_table(headers: Sequence[str],
         out.append(" | ".join(c.ljust(w)
                               for c, w in zip(row, widths)).rstrip())
     return "\n".join(out)
-
-
-def render_series(name: str, xs: Sequence[Any],
-                  ys: Sequence[float], x_label: str = "x",
-                  y_label: str = "y") -> str:
-    """A figure series as labelled rows (what the paper plots)."""
-    rows = [[x, y] for x, y in zip(xs, ys)]
-    return f"# {name}\n" + render_table([x_label, y_label], rows)
 
 
 def _fmt(value: Any) -> str:

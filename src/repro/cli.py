@@ -3,10 +3,10 @@
 Commands:
 
 * ``experiments [ids...]`` — run experiment modules (default: all) and
-  print their paper-vs-measured records; ``--jobs N|auto`` fans them
-  out over worker processes.
+  print their paper-vs-measured records and claims; ``--jobs N|auto``
+  fans them out over worker processes; exit 1 if a claim failed.
 * ``report`` — run every experiment and regenerate EXPERIMENTS.md,
-  results.csv and results.json.
+  results.csv and results.json; then exit 1 naming each failed claim.
 * ``tables`` — render the static tables (Table I/II, design space,
   arbitration and variant comparisons).
 * ``fio`` — an ad-hoc FIO run against a chosen device tier.
@@ -47,15 +47,13 @@ from repro.errors import ConfigError
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_all
-    run_all(only=args.ids or None, jobs=args.jobs)
-    return 0
+    from repro.experiments.runner import gate_claims, run_all
+    return gate_claims(run_all(only=args.ids or None, jobs=args.jobs))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import write_report
-    write_report(jobs=args.jobs)
-    return 0
+    from repro.experiments.runner import gate_claims, write_report
+    return gate_claims(write_report(jobs=args.jobs))
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:

@@ -180,23 +180,17 @@ class NVDIMMCSystem(DaxSystem):
 
     # -- reboot (§V-C recovery) ---------------------------------------------------------
 
-    def remount(self,
-                health: HealthMonitor | None = None) -> "NVDIMMCSystem":
+    def remount(self, health: HealthMonitor) -> "NVDIMMCSystem":
         """Boot-time remount after a power cycle.
 
-        DRAM contents are gone; the Z-NAND (and its FTL mapping state,
-        which lives on the persistent media) survives.  Returns a fresh
+        DRAM contents are gone; the Z-NAND survives.  Returns a fresh
         system — empty cache, zeroed metadata, same NAND — exactly what
-        the nvdc driver sees when the module is re-probed.
-
-        ``health`` replaces the module's monitor for the new mount: a
-        *warm* remount (the ladder survived, e.g. a driver reload)
-        passes ``None`` and keeps the live monitor; a *cold* mount after
-        a power cut passes a fresh monitor re-seeded from media
-        evidence (see :func:`repro.recovery.recover_mount`) — the old
-        one's volatile state died with the power.
+        the nvdc driver sees when the module is re-probed, with
+        ``health`` as its monitor: the one
+        :func:`repro.recovery.recover_mount` re-seeded from media
+        evidence, since the old one's volatile state died with the
+        power.
         """
-        monitor = health if health is not None else self.health
         fresh = object.__new__(NVDIMMCSystem)
         dram = DRAMDevice(self.spec, capacity_bytes=self.dram.capacity_bytes,
                           name="dram-cache")
@@ -207,7 +201,7 @@ class NVDIMMCSystem(DaxSystem):
                          firmware=self.nvmc.firmware,
                          cp_queue_depth=self.nvmc.cp.queue_depth,
                          tracer=self.nvmc.tracer,
-                         health=monitor)
+                         health=health)
         cpu_cache = (CPUCache(_DramBackend(dram))
                      if self.cpu_cache is not None else None)
         driver = NvdcDriver(region, nvmc, dram, cpu_cache=cpu_cache,
@@ -226,13 +220,11 @@ class NVDIMMCSystem(DaxSystem):
         fresh.nvmc = nvmc
         fresh.cpu_cache = cpu_cache
         fresh.driver = driver
-        # On a warm remount health is a property of the *module* and
-        # the ladder survives; a cold mount hands in its own monitor.
-        fresh.health = monitor
-        fresh.nand.health = monitor
-        fresh.nand.ftl.health = monitor
+        fresh.health = health
+        fresh.nand.health = health
+        fresh.nand.ftl.health = health
         fresh.scrubber = PatrolScrubber(nvmc, driver=driver,
-                                        monitor=monitor,
+                                        monitor=health,
                                         config=self.scrubber.config)
         return fresh
 

@@ -2,8 +2,9 @@
 
 Each module exposes a ``run()`` returning an
 :class:`~repro.analysis.results.ExperimentRecord` with paper-vs-measured
-comparisons, plus the raw series for rendering.  ``repro.experiments.
-runner`` executes everything and regenerates EXPERIMENTS.md.
+comparisons and the paper-shape claims checked over the run's own
+numbers.  ``repro.experiments.runner`` executes everything, regenerates
+EXPERIMENTS.md and gates the claims.
 
 | module                | paper artefact                               |
 |-----------------------|----------------------------------------------|

@@ -14,7 +14,9 @@ authors could only argue for can be measured:
 5. faster Z-NAND PHY (500 MHz instead of the PoC's 50 MHz).
 
 Plus the §IV-B eviction-policy study (LRC vs LRU vs CLOCK) and precise
-vs conservative dirty tracking.
+vs conservative dirty tracking.  Claims: each step helps, cumulatively
+~2x; CP depth 2 reaches its two-windows-per-miss ceiling and deeper
+queues add nothing; 8 KB fits the window; LRU is no worse than LRC.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ def run() -> ExperimentRecord:
 
     # (2): CP queue depth > 1 — the pipelined-NVMC model.
     from repro.nvmc.pipeline import queue_depth_sweep
-    for depth, bw in queue_depth_sweep(depths=(1, 2, 4),
-                                       firmware_step_ps=0):
+    by_depth = dict(queue_depth_sweep(depths=(1, 2, 4, 8),
+                                      firmware_step_ps=0))
+    for depth in (1, 2, 4):
         record.add(f"(2) pipelined NVMC, CP depth {depth}", "MB/s",
-                   None, bw)
+                   None, by_depth[depth])
     record.add("(2) depth-2 ceiling (2 windows/miss)", "MB/s", None,
                PAGE_4K / 1e6 / (2 * 7.8e-6))
 
@@ -79,17 +82,39 @@ def run() -> ExperimentRecord:
     need = dma8.transfer_time_ps(kb(8))
     record.add("(3) 8 KB transfer time in 900 ns window", "ns", None,
                need / 1000)
+    fits = dma8.fits_in_window(kb(8), window)
     record.add("(3) 8 KB fits the window", "bool", 1.0,
-               1.0 if dma8.fits_in_window(kb(8), window) else 0.0)
+               1.0 if fits else 0.0)
 
     # Eviction-policy study on TPC-H (geomean slowdown per policy).
+    geomean = {}
     for policy in ("lrc", "lru", "clock"):
         results = run_all_queries(25_600, 4_096, policy=policy)
         geo = 1.0
         for r in results:
             geo *= r.slowdown
+        geomean[policy] = geo ** (1 / len(results))
         record.add(f"TPC-H geomean slowdown [{policy}]", "x", None,
-                   geo ** (1 / len(results)))
+                   geomean[policy])
     record.note("LRU/CLOCK beating LRC confirms the §IV-B / §VII-B5 "
                 "diagnosis that LRC thrash drives the Fig. 11 outliers")
+
+    record.claim("each roadmap step raises uncached bandwidth: PoC < (1) "
+                 "< (1+5) < (1+4+5) (§VII-C)",
+                 poc < asic < fast_phy < merged)
+    record.claim("the roadmap (1+4+5) is >= 1.7x the PoC (§VII-C: ~2x)",
+                 merged / poc >= 1.7)
+    record.claim("(2) CP depth 2 within 5 % of the 262.6 MB/s "
+                 "two-windows-per-miss ceiling",
+                 abs(by_depth[2] - 262.6) / 262.6 < 0.05)
+    record.claim("(2) CP depth 2 is > 1.62x depth 1 (0.9 x 1.8)",
+                 by_depth[2] > 1.8 * by_depth[1] * 0.9)
+    record.claim("(2) CP depth 8 adds < 2 % over depth 2 (the ceiling "
+                 "holds)",
+                 by_depth[8] <= by_depth[2] * 1.02)
+    record.claim("(3) 8 KB fits the 900 ns window (§VII-C item 3)", fits)
+    record.claim("(3) 8 KB transfers in < 900 ns", need / 1000 < 900)
+    record.claim("LRU is no worse than LRC on TPC-H geomean slowdown "
+                 "(§IV-B)",
+                 geomean["lru"] <= geomean["lrc"])
     return record

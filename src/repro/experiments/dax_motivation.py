@@ -7,6 +7,9 @@ experiment measures both paths over the same pmem-class device:
 * **page-cache mmap** — first touch pays the block layer + a 4 KB copy,
   data exists twice, fsync writes blocks back;
 * **DAX** — loads/stores hit the device's memory directly.
+
+Claims: DAX wins on latency, and the page cache copies a whole block
+per miss.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import random
 
 from repro.analysis.results import ExperimentRecord
-from repro.analysis.tables import render_table
 from repro.device.nvdimmc import PmemSystem
 from repro.kernel.pagecache import PageCache
 from repro.units import PAGE_4K, mb
@@ -47,18 +49,18 @@ def run(nops: int = 2000, footprint_mb: int = 8,
 
     record.add("page-cache 64 B read (mean)", "us", None, pc_per_op)
     record.add("DAX 64 B read (mean)", "us", None, dax_per_op)
-    record.add("DAX advantage", "x", None, pc_per_op / dax_per_op)
-    record.add("page-cache bytes copied per byte read", "x", None,
-               cache.stats.bytes_copied / (nops * 64))
+    advantage = pc_per_op / dax_per_op
+    record.add("DAX advantage", "x", None, advantage)
+    copied = cache.stats.bytes_copied / (nops * 64)
+    record.add("page-cache bytes copied per byte read", "x", None, copied)
     record.add("page-cache miss rate", "%", None,
                (1 - cache.stats.hit_rate) * 100)
     record.note("every page-cache miss moves a full 4 KB block for a "
                 "64 B read — the §II-A argument for device_access")
+    record.claim("DAX is > 1.5x faster than the page cache (§II-A)",
+                 advantage > 1.5)
+    record.claim("a DAX 64 B read beats a page-cache 64 B read",
+                 dax_per_op < pc_per_op)
+    record.claim("the page cache copies > 10 bytes per byte read "
+                 "(§II-A: a 4 KB block per miss)", copied > 10)
     return record
-
-
-def render() -> str:
-    record = run(nops=800)
-    rows = [[c.label, f"{c.measured:.3g} {c.unit}"]
-            for c in record.comparisons]
-    return render_table(["metric", "value"], rows)

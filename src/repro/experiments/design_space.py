@@ -72,6 +72,7 @@ def run() -> ExperimentRecord:
         record.add(f"{tech.name} fits frontend", "bool",
                    1.0 if tech.name == "STT-MRAM" else 0.0,
                    1.0 if fits else 0.0)
+    capable = {tech.name for tech in frontend_capable}
     dense_enough = [t for t in frontend_capable
                     if t.density_gbit >= SCM_MIN_DENSITY_GBIT]
     record.add("frontend-capable AND SCM-dense", "count", 0,
@@ -79,6 +80,18 @@ def run() -> ExperimentRecord:
     record.note("paper's conclusion: nothing is both fast enough for "
                 "the synchronous frontend and dense enough for SCM -> "
                 "DRAM-as-frontend (Fig. 1b) is forced")
+    record.claim("stock READ budget within 0.3 ns of 26.64 ns (§III-A)",
+                 abs(stock / 1000 - 26.64) < 0.3)
+    record.claim("maxed-register budget within 0.5 ns of 51.615 ns "
+                 "(§III-A)",
+                 abs(maxed / 1000 - 51.615) < 0.5)
+    record.claim("STT-MRAM fits the frontend (§III-A)",
+                 "STT-MRAM" in capable)
+    record.claim("Z-NAND does not fit the frontend (§III-A)",
+                 "Z-NAND" not in capable)
+    record.claim("no medium is both frontend-capable and SCM-dense "
+                 "(§III-A: DRAM-as-frontend is forced)",
+                 len(dense_enough) == 0)
     return record
 
 

@@ -8,12 +8,14 @@ points (4 KB random reads on cached pages):
     tREFI2 (3.9 us) -> 1691 MB/s  (-8 %)
     tREFI4 (1.95 us)-> 1530 MB/s  (-17 %)
     16 threads @ tREFI4 -> 3690 MB/s (the "balanced SCM" trade-off)
+
+Claims: the three paper points, a modest host cost at tREFI2 and
+tREFI4, and 16 threads still clearing 2.8 GB/s at tREFI4.
 """
 
 from __future__ import annotations
 
 from repro.analysis.results import ExperimentRecord
-from repro.analysis.tables import render_series
 from repro.experiments.common import build_cached_nvdc
 from repro.units import kb, mb, us
 from repro.workloads.fio import FIOJob, FIORunner
@@ -21,8 +23,7 @@ from repro.workloads.fio import FIOJob, FIORunner
 POINTS = ((7.8, 1835), (3.9, 1691), (1.95, 1530))
 
 
-def run(nops: int = 1500) -> tuple[ExperimentRecord,
-                                   list[tuple[float, float]]]:
+def run(nops: int = 1500) -> ExperimentRecord:
     record = ExperimentRecord("fig13", "Host bandwidth vs tREFI")
     series = []
     base_bw = None
@@ -46,11 +47,18 @@ def run(nops: int = 1500) -> tuple[ExperimentRecord,
                result16.bandwidth_mb_s)
     record.note("together with Fig. 12: tREFI4 buys the device 914 MB/s "
                 "while the host keeps >80 % of its cached bandwidth")
-    return record, series
 
-
-def render(series: list[tuple[float, float]]) -> str:
-    return render_series("Fig. 13: cached bandwidth vs tREFI",
-                         [f"{t}us" for t, _ in series],
-                         [bw for _, bw in series],
-                         x_label="tREFI", y_label="MB/s")
+    by_trefi = dict(series)
+    for trefi_us, paper in POINTS:
+        record.claim(f"tREFI = {trefi_us} us within 8 % of {paper} MB/s "
+                     "(Fig. 13)",
+                     abs(by_trefi[trefi_us] - paper) / paper < 0.08)
+    base = by_trefi[7.8]
+    record.claim("tREFI2 costs the host 0-12 % (Fig. 13: 8 %)",
+                 0.0 < 1 - by_trefi[3.9] / base < 0.12)
+    record.claim("tREFI4 costs the host 8-25 % (Fig. 13: 17 %)",
+                 0.08 < 1 - by_trefi[1.95] / base < 0.25)
+    record.claim("16 threads at tREFI4 clear 2800 MB/s "
+                 "(Fig. 13: 3690 MB/s)",
+                 result16.bandwidth_mb_s > 2800)
+    return record

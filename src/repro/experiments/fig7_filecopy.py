@@ -3,13 +3,13 @@
 Paper series: ~518 MB/s (SSD-limited) while free slots last, then a
 sustained ~68 MB/s once every 4 KB write needs a writeback+cachefill
 pair.  The experiment reports the peak, the floor, and where the cliff
-falls relative to the cache size.
+falls relative to the cache size, and claims the shape: an SSD-limited
+peak, an order-of-magnitude cliff, positioned where the slots run out.
 """
 
 from __future__ import annotations
 
 from repro.analysis.results import ExperimentRecord
-from repro.analysis.tables import render_series
 from repro.experiments.common import build_cached_nvdc
 from repro.units import mb
 from repro.workloads.filecopy import FileCopyResult, run_file_copy
@@ -20,7 +20,7 @@ CACHE_MB = 8
 FILE_MB = 20
 
 
-def run() -> tuple[ExperimentRecord, FileCopyResult]:
+def run() -> ExperimentRecord:
     system = build_cached_nvdc(cache_mb=CACHE_MB, device_mb=64)
     series = run_file_copy(system, file_bytes=mb(FILE_MB), buckets=40)
     record = ExperimentRecord("fig7", "File copy throughput over progress")
@@ -29,11 +29,20 @@ def run() -> tuple[ExperimentRecord, FileCopyResult]:
                series.floor_mb_s)
     slots_gb = system.region.layout.slots_bytes / 2**30
     cliff_gb = _cliff_position(series)
-    record.add("cliff position / slot area", "ratio", 1.0,
-               cliff_gb / slots_gb if slots_gb else 0.0)
+    cliff = cliff_gb / slots_gb if slots_gb else 0.0
+    record.add("cliff position / slot area", "ratio", 1.0, cliff)
     record.note(f"scaled run: {CACHE_MB} MB cache module, "
                 f"{FILE_MB} MB file (paper: 16 GB / 20 GB)")
-    return record, series
+    record.claim("peak bandwidth is 450-546 MB/s, SSD-limited "
+                 "(Fig. 7: 518 MB/s)",
+                 450 <= series.peak_mb_s <= 546)
+    record.claim("sustained floor is below a quarter of the peak "
+                 "(Fig. 7: 68 of 518 MB/s)",
+                 series.floor_mb_s < series.peak_mb_s / 4)
+    record.claim("the cliff falls at 0.7-1.4x the slot area (Fig. 7: "
+                 "where the 15 GB of slots run out)",
+                 0.7 <= cliff <= 1.4)
+    return record
 
 
 def _cliff_position(series: FileCopyResult) -> float:
@@ -43,10 +52,3 @@ def _cliff_position(series: FileCopyResult) -> float:
         if bw < half:
             return gb
     return series.copied_gb[-1] if series.copied_gb else 0.0
-
-
-def render(series: FileCopyResult) -> str:
-    return render_series("Fig. 7: file copy",
-                         [f"{gb*1024:.1f}" for gb in series.copied_gb],
-                         series.bandwidth_mb_s,
-                         x_label="copied_MiB", y_label="MB/s")

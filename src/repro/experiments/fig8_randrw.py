@@ -6,6 +6,9 @@ as KIOPS and MB/s.  Paper values:
     Baseline       R 646 K / 2606 MB/s    W 576 K / 2360 MB/s
     NVDC-Cached    R 448 K / 1835 MB/s    W 438 K / 1796 MB/s
     NVDC-Uncached  R 13 K  / 57.3 MB/s    W 14.2 K / 58.3 MB/s
+
+Claims: the tier ordering baseline > cached >> uncached in each
+direction, the §VII-B2 factors between the tiers, and the read anchors.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.results import ExperimentRecord
-from repro.analysis.tables import render_table
 from repro.experiments.common import (build_cached_nvdc, build_pmem,
                                       build_uncached_nvdc)
 from repro.units import PAGE_4K, kb, mb
@@ -42,8 +44,7 @@ def _cached_job(is_write: bool, nops: int) -> FIOJob:
                   bs=kb(4), size=mb(32), numjobs=1, nops=nops)
 
 
-def run(nops: int = 2000, uncached_ops: int = 120
-        ) -> tuple[ExperimentRecord, list[Fig8Row]]:
+def run(nops: int = 2000, uncached_ops: int = 120) -> ExperimentRecord:
     rows: list[Fig8Row] = []
     for is_write in (False, True):
         result = FIORunner(build_pmem()).run(_cached_job(is_write, nops))
@@ -65,7 +66,25 @@ def run(nops: int = 2000, uncached_ops: int = 120
         record.add(f"{row.config} {op}", "MB/s", paper_mb, row.mb_s)
     record.note("uncached misses pay a full writeback+cachefill pair "
                 "(the PoC has no dirty tracking through DAX mappings)")
-    return record, rows
+
+    mb_s = {(row.config, row.is_write): row.mb_s for row in rows}
+    for is_write in (False, True):
+        op = "write" if is_write else "read"
+        baseline = mb_s[("baseline", is_write)]
+        cached = mb_s[("cached", is_write)]
+        uncached = mb_s[("uncached", is_write)]
+        record.claim(f"{op}: baseline > cached > uncached (Fig. 8 tiers)",
+                     baseline > cached > uncached)
+        record.claim(f"cached {op} is 60-85 % of baseline "
+                     "(§VII-B2: 70-76 %)",
+                     0.6 <= cached / baseline <= 0.85)
+        record.claim(f"cached {op} is 20-45x uncached (§VII-B2: ~31x)",
+                     20 <= cached / uncached <= 45)
+    record.claim("cached read within 20 % of 1835 MB/s (Fig. 8)",
+                 abs(mb_s[("cached", False)] - 1835) / 1835 < 0.2)
+    record.claim("uncached read within 20 % of 57.3 MB/s (Fig. 8)",
+                 abs(mb_s[("uncached", False)] - 57.3) / 57.3 < 0.2)
+    return record
 
 
 def _uncached_point(is_write: bool, nops: int) -> Fig8Row:
@@ -77,14 +96,3 @@ def _uncached_point(is_write: bool, nops: int) -> Fig8Row:
     kiops = nops / (span / 1e12) / 1e3
     mb_s = nops * kb(4) / 1e6 / (span / 1e12)
     return Fig8Row("uncached", is_write, kiops, mb_s)
-
-
-def render(rows: list[Fig8Row]) -> str:
-    table_rows = []
-    for row in rows:
-        op = "W" if row.is_write else "R"
-        paper_kiops, paper_mb = PAPER[(row.config, row.is_write)]
-        table_rows.append([f"{row.config} {op}", f"{row.kiops:.1f}",
-                           paper_kiops, f"{row.mb_s:.1f}", paper_mb])
-    return render_table(
-        ["config", "KIOPS", "paper", "MB/s", "paper"], table_rows)

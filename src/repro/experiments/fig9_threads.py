@@ -4,6 +4,10 @@ Paper shape: the baseline scales to 2123 KIOPS / 8694 MB/s by 8
 threads; NVDC-Cached reads peak at 1060 K / 4341 MB/s (8 threads) and
 writes at 1127 K / 4615 MB/s (16); Uncached saturates by 4 threads
 around 24.3 KIOPS / 99.7 MB/s.
+
+Claims: the plateaus near the paper's caps, the scaling shape of every
+series (2 threads >> 1, flat by 16), the baseline's ~2x lead, and the
+uncached series far below and saturated early.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.results import ExperimentRecord
-from repro.analysis.tables import render_table
 from repro.experiments.common import (build_cached_nvdc, build_pmem,
                                       build_uncached_nvdc)
 from repro.units import PAGE_4K, kb, mb
@@ -32,8 +35,7 @@ class Fig9Series:
         return max(self.mb_s)
 
 
-def run(nops: int = 800, uncached_ops: int = 100
-        ) -> tuple[ExperimentRecord, list[Fig9Series]]:
+def run(nops: int = 800, uncached_ops: int = 100) -> ExperimentRecord:
     series: list[Fig9Series] = []
     for config, builder in (("baseline", build_pmem),
                             ("cached", build_cached_nvdc)):
@@ -64,7 +66,36 @@ def run(nops: int = 800, uncached_ops: int = 100
                None, _saturation_point(uncached))
     record.note("uncached scaling is limited by the CP queue depth of "
                 "1: the device pipeline fills with very few threads")
-    return record, series
+
+    baseline_r = by_key[("baseline", False)]
+    cached_r = by_key[("cached", False)]
+    cached_w = by_key[("cached", True)]
+    for s, paper in ((baseline_r, 8694), (cached_r, 4341),
+                     (cached_w, 4615)):
+        record.claim(f"{_name(s)} plateau within 15 % of {paper} MB/s "
+                     "(Fig. 9)",
+                     abs(s.peak - paper) / paper < 0.15)
+    for s in (baseline_r, cached_r, cached_w):
+        record.claim(f"{_name(s)}: 2 threads give > 1.5x one thread "
+                     "(Fig. 9 scaling)",
+                     s.mb_s[1] > 1.5 * s.mb_s[0])
+        record.claim(f"{_name(s)}: 16 threads within 5 % of the peak "
+                     "(Fig. 9 plateau)",
+                     s.mb_s[-1] >= 0.95 * s.peak)
+    record.claim("baseline read plateau is 1.6-2.4x cached read "
+                 "(Fig. 9: 8694 / 4341 MB/s = 2.0x)",
+                 1.6 <= baseline_r.peak / cached_r.peak <= 2.4)
+    record.claim("uncached peak is below 1/30 of the cached read peak "
+                 "(Fig. 9: 99.7 vs 4341 MB/s)",
+                 uncached.peak < cached_r.peak / 30)
+    record.claim("uncached at 16 threads within 10 % of its peak "
+                 "(Fig. 9: saturated by 4 threads)",
+                 uncached.mb_s[-1] >= 0.9 * uncached.peak)
+    return record
+
+
+def _name(series: Fig9Series) -> str:
+    return f"{series.config} {'write' if series.is_write else 'read'}"
 
 
 def _uncached_series(is_write: bool, nops: int) -> Fig9Series:
@@ -89,12 +120,3 @@ def _saturation_point(series: Fig9Series) -> int:
         if bw >= 0.95 * peak:
             return n
     return series.threads[-1]
-
-
-def render(series: list[Fig9Series]) -> str:
-    rows = []
-    for s in series:
-        op = "W" if s.is_write else "R"
-        rows.append([f"{s.config} {op}"]
-                    + [f"{bw:.0f}" for bw in s.mb_s])
-    return render_table(["config"] + [f"{n}T" for n in THREADS], rows)

@@ -9,12 +9,13 @@ Two costs the paper leaves implicit, quantified:
   PoC's 58.3 MB/s uncached-write ceiling the 128 GB SLC Z-NAND wears
   out only after ~3.4 years of *continuous* writes (decades at real
   duty cycles).  The mechanism bounds its own wear.
+
+The experiment checks both as claims on its record.
 """
 
 from __future__ import annotations
 
 from repro.analysis.results import ExperimentRecord
-from repro.analysis.tables import render_table
 from repro.ddr.power import power_sweep
 from repro.ddr.spec import NVDIMMC_1600
 from repro.nand.endurance import paper_device_lifetime, \
@@ -32,8 +33,8 @@ def run() -> ExperimentRecord:
     quad = rows[2]
     record.add("refresh power @ tREFI", "W", None, base.power_w)
     record.add("refresh power @ tREFI4", "W", None, quad.power_w)
-    record.add("power ratio tREFI4/tREFI", "x", 4.0,
-               quad.power_w / base.power_w)
+    power_ratio = quad.power_w / base.power_w
+    record.add("power ratio tREFI4/tREFI", "x", 4.0, power_ratio)
     record.add("watts per MiB/s of window bandwidth", "W", None,
                base.power_w / base.device_window_mib_s)
 
@@ -50,21 +51,12 @@ def run() -> ExperimentRecord:
                ceiling2)
     record.note("the window mechanism throttles its own wear: the NAND "
                 "cannot be written faster than refreshes allow")
+    record.claim("refresh power is linear in the rate: tREFI4/tREFI "
+                 "within 0.05 of 4x", abs(power_ratio - 4.0) < 0.05)
+    record.claim("refresh power at tREFI4 stays below 1 W",
+                 quad.power_w < 1.0)
+    record.claim("continuous writes at 58.3 MB/s last 2.5-5 years "
+                 "(~3.4)", 2.5 <= life <= 5.0)
+    record.claim("a 10 % write duty lasts > 5x the continuous lifetime",
+                 duty10 > 5 * life)
     return record
-
-
-def render() -> str:
-    rows = []
-    for point in power_sweep(NVDIMMC_1600):
-        # The sustained uncached *write* ceiling scales with the
-        # refresh rate from the PoC's measured 58.3 MB/s (8-window
-        # writeback+cachefill pairs, §VII-B2).
-        write_ceiling = 58.3 * (7.8 / point.trefi_us)
-        life = project_lifetime_years(ZNAND_64GB, 2 * gb(64),
-                                      write_ceiling, waf=1.1)
-        rows.append([f"{point.trefi_us}", f"{point.power_w:.2f}",
-                     f"{point.device_window_mib_s:.0f}",
-                     f"{write_ceiling:.0f}", f"{life:.1f}"])
-    return render_table(
-        ["tREFI (us)", "refresh W", "window MiB/s",
-         "write ceiling MB/s", "years @ ceiling"], rows)

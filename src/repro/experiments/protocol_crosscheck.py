@@ -86,4 +86,14 @@ def run(pages: int = 120) -> ExperimentRecord:
 
     record.note("any disagreement >5 % here means the fast models no "
                 "longer describe the protocol they abstract")
+    record.claim("protocol bandwidth within 5 % of the window arithmetic",
+                 abs(measured_mib_s / predicted_mib_s - 1.0) < 0.05)
+    record.claim("window occupancy within 5 % of the DMA model",
+                 abs(mean_occupancy / predicted_occupancy - 1.0) < 0.05)
+    record.claim("host stall through refresh within 5 % of the "
+                 "programmed tRFC arithmetic",
+                 abs(stall / predicted_stall - 1.0) < 0.05)
+    record.claim("the shared anchor is within 1 MiB/s of the §V-A "
+                 "500.8 MiB/s ceiling",
+                 abs(predicted_mib_s - 500.8) < 1.0)
     return record

@@ -4,10 +4,15 @@ Experiments are independent and deterministic, so ``run_all`` can fan
 them out over worker processes (``jobs > 1``); records are merged back
 in declaration order, which makes the exported ``results.json`` /
 ``results.csv`` byte-identical between serial and parallel executions.
+
+Each experiment checks the paper's shape over its own numbers and
+records the verdicts as claims; :func:`gate_claims` turns a failed one
+into exit 1 for ``repro report`` and ``repro experiments``.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Callable
 
@@ -26,36 +31,29 @@ from repro.experiments import (ablations, arbitration_compare,
                                variants_compare)
 
 
-def _first(value):
-    """Unwrap (record, extras...) returns."""
-    if isinstance(value, tuple):
-        return value[0]
-    return value
-
-
 #: experiment id -> zero-arg callable returning an ExperimentRecord
-#: (possibly inside a tuple with rendering payload).
+#: whose claims the experiment has already checked.
 ALL_EXPERIMENTS: dict[str, Callable[[], ExperimentRecord]] = {
-    "table1": lambda: _first(table1_config.run()),
-    "table2": lambda: _first(table2_benchmarks.run()),
-    "validation": lambda: _first(validation_refresh.run()),
-    "fig7": lambda: _first(fig7_filecopy.run()),
-    "fig8": lambda: _first(fig8_randrw.run()),
-    "fig9": lambda: _first(fig9_threads.run()),
-    "fig10": lambda: _first(fig10_granularity.run()),
-    "fig11": lambda: _first(fig11_tpch.run()),
-    "fig12": lambda: _first(fig12_td.run()),
-    "fig13": lambda: _first(fig13_trefi.run()),
-    "mixed": lambda: _first(mixed_integrity.run()),
-    "ablations": lambda: _first(ablations.run()),
-    "design_space": lambda: _first(design_space.run()),
-    "arbitration": lambda: _first(arbitration_compare.run()),
-    "variants": lambda: _first(variants_compare.run()),
-    "thermal": lambda: _first(thermal_study.run()),
-    "crosscheck": lambda: _first(protocol_crosscheck.run()),
-    "isolation": lambda: _first(channel_isolation.run()),
-    "power_endurance": lambda: _first(power_endurance.run()),
-    "dax": lambda: _first(dax_motivation.run()),
+    "table1": table1_config.run,
+    "table2": table2_benchmarks.run,
+    "validation": validation_refresh.run,
+    "fig7": fig7_filecopy.run,
+    "fig8": fig8_randrw.run,
+    "fig9": fig9_threads.run,
+    "fig10": fig10_granularity.run,
+    "fig11": fig11_tpch.run,
+    "fig12": fig12_td.run,
+    "fig13": fig13_trefi.run,
+    "mixed": mixed_integrity.run,
+    "ablations": ablations.run,
+    "design_space": design_space.run,
+    "arbitration": arbitration_compare.run,
+    "variants": variants_compare.run,
+    "thermal": thermal_study.run,
+    "crosscheck": protocol_crosscheck.run,
+    "isolation": channel_isolation.run,
+    "power_endurance": power_endurance.run,
+    "dax": dax_motivation.run,
 }
 
 
@@ -126,8 +124,9 @@ def to_markdown(records: list[ExperimentRecord]) -> str:
         "",
         "## Summary",
         "",
-        "| experiment | paper-anchored points | worst deviation |",
-        "|---|---|---|",
+        "| experiment | paper-anchored points | worst deviation "
+        "| claims held |",
+        "|---|---|---|---|",
     ]
     for record in records:
         anchored = sum(1 for c in record.comparisons
@@ -135,8 +134,10 @@ def to_markdown(records: list[ExperimentRecord]) -> str:
         worst = record.worst_ratio_error()
         deviation = (f"{(math.exp(worst) - 1) * 100:.0f} %"
                      if anchored else "—")
+        held = sum(claim.ok for claim in record.claims)
         lines.append(f"| {record.experiment_id} — {record.title} | "
-                     f"{anchored} | {deviation} |")
+                     f"{anchored} | {deviation} | "
+                     f"{held}/{len(record.claims)} |")
     lines.append("")
     for record in records:
         lines.append(f"## {record.experiment_id} — {record.title}")
@@ -150,14 +151,26 @@ def to_markdown(records: list[ExperimentRecord]) -> str:
                          f"{c.measured:.4g} | {ratio} |")
         for note in record.notes:
             lines.append(f"\n*{note}*")
+        if record.claims:
+            lines.append("")
+            lines.extend(f"- {claim}" for claim in record.claims)
         lines.append("")
     return "\n".join(lines)
 
 
-def write_report(jobs: int | str | None = 1) -> None:
-    """Run every experiment and write ``EXPERIMENTS.md``,
-    ``results.csv`` and ``results.json`` to the working directory
-    (``python -m repro report``)."""
+def gate_claims(records: list[ExperimentRecord]) -> int:
+    """Name each failed claim on stderr; 1 if any failed, else 0."""
+    failed = [(record.experiment_id, claim) for record in records
+              for claim in record.claims if not claim.ok]
+    for exp_id, claim in failed:
+        print(f"claim failed: {exp_id}: {claim.text}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def write_report(jobs: int | str | None = 1) -> list[ExperimentRecord]:
+    """Run every experiment, write ``EXPERIMENTS.md``, ``results.csv``
+    and ``results.json`` to the working directory and return the
+    records (``python -m repro report``)."""
     records = run_all(jobs=jobs)
     for path, text in (("EXPERIMENTS.md", to_markdown(records)),
                        ("results.csv", to_csv(records)),
@@ -166,3 +179,4 @@ def write_report(jobs: int | str | None = 1) -> None:
             handle.write(text)
     print(f"wrote EXPERIMENTS.md (+ results.csv, results.json) with "
           f"{len(records)} experiment records")
+    return records

@@ -10,17 +10,13 @@ The reproduction runs the same aging loop on the command-accurate bus
 and reports: data mismatches (must be 0), bus collisions (must be 0),
 detector confusion counts (must be 0), and — as a *negative control* —
 the same loop with the tRFC rule disabled, which must corrupt the
-channel immediately.  An additional noise sweep quantifies how much
-electrical margin the detector has before accuracy degrades, the
-analysis the paper says it could not do on silicon.
+channel immediately.  Each of those is a claim on the record.
 """
 
 from __future__ import annotations
 
 from repro.analysis.results import ExperimentRecord
-from repro.ddr.commands import CommandKind, encode
 from repro.errors import ProtocolError
-from repro.nvmc.refresh_detector import RefreshDetector
 from repro.workloads.stream_bench import run_stream_validation
 
 
@@ -51,26 +47,15 @@ def run(iterations: int = 3) -> ExperimentRecord:
                float(rogue_failures))
     record.note("rogue mode drives the bus right after REF, as an "
                 "unserialised design would")
+    record.claim("no data mismatch over the aging loop (§VII-A: no "
+                 "inconsistency)", clean.mismatches == 0)
+    record.claim("no bus collision (§VII-A: no system fault)",
+                 clean.collisions == 0)
+    record.claim("no detector false positive (§VII-A)",
+                 clean.false_positives == 0)
+    record.claim("no detector false negative (§VII-A)",
+                 clean.false_negatives == 0)
+    record.claim("the rogue negative control fails: serialising behind "
+                 "REF is what keeps the channel safe",
+                 rogue_failures > 0)
     return record
-
-
-def noise_sweep(bers=(0.0, 1e-6, 1e-4, 1e-3, 1e-2, 5e-2),
-                commands: int = 20_000,
-                refresh_every: int = 16) -> list[tuple[float, float]]:
-    """Detector accuracy vs per-sample bit-flip rate (model-only study).
-
-    Returns (ber, accuracy) pairs over a realistic command mix.
-    """
-    out = []
-    mix = [CommandKind.ACT, CommandKind.RD, CommandKind.WR,
-           CommandKind.PRE, CommandKind.NOP]
-    for ber in bers:
-        detector = RefreshDetector(noise_ber=ber, seed=13)
-        for i in range(commands):
-            if i % refresh_every == 0:
-                kind = CommandKind.REF
-            else:
-                kind = mix[i % len(mix)]
-            detector.observe(i, encode(kind))
-        out.append((ber, detector.accuracy))
-    return out

@@ -22,8 +22,9 @@ def run() -> ExperimentRecord:
     winners = compatible_and_byte_addressable_and_dense()
     record.add("variants meeting all SCM criteria", "count", 1.0,
                float(len(winners)))
+    c_wins = bool(winners) and winners[0].name == "NVDIMM-C"
     record.add("the winner is NVDIMM-C", "bool", 1.0,
-               1.0 if winners and winners[0].name == "NVDIMM-C" else 0.0)
+               1.0 if c_wins else 0.0)
 
     n = nvdimm_n()
     c = nvdimm_c()
@@ -31,10 +32,19 @@ def run() -> ExperimentRecord:
                n.backup_energy_window_s)
     record.add("NVDIMM-C hold-up window (16 GB cache)", "s", None,
                c.backup_energy_window_s)
-    record.add("capacity ratio C/N at equal DRAM", "x", 7.5,
-               c.capacity_bytes / n.capacity_bytes)
+    capacity_ratio = c.capacity_bytes / n.capacity_bytes
+    record.add("capacity ratio C/N at equal DRAM", "x", 7.5, capacity_ratio)
     record.note("NVDIMM-C buys 7.5x the capacity of NVDIMM-N for the "
                 "same DRAM and the same hold-up energy class")
+    record.claim("exactly one variant meets all SCM criteria (§VIII)",
+                 len(winners) == 1)
+    record.claim("the winner is NVDIMM-C (§VIII)", c_wins)
+    record.claim("capacity ratio C/N within 0.1 of 7.5x at equal DRAM",
+                 abs(capacity_ratio - 7.5) < 0.1)
+    record.claim("NVDIMM-C's hold-up window is within 1 % of NVDIMM-N's "
+                 "or shorter",
+                 c.backup_energy_window_s
+                 <= n.backup_energy_window_s * 1.01)
     return record
 
 

@@ -37,6 +37,7 @@ from repro.faults.injectors import INJECTORS, ArmContext, Injector, \
     injector_names
 from repro.nvmc.nvmc import CPFaultPort
 from repro.faults.report import SCHEMA
+from repro.recovery.mount import recover_mount
 from repro.report import Gate, Gated
 from repro.sim.trace import Tracer, use_tracer
 from repro.units import PAGE_4K, kb, mb, us
@@ -230,17 +231,17 @@ def _run_dax_cell(injector: Injector, workload_name: str, cseed: int,
             power.power_fail(now_ps=t)
         except PowerLossInterrupt:
             interrupts += 1
-        replay = power.recover().replay()
-        leg.driver = system.remount().driver
+        fresh, mount = recover_mount(system, power.journal, now_ps=t)
+        leg.driver = fresh.driver
         leg.verify(t, counts)
         cell.injected = clock.fired
         cell.detected = interrupts
-        cell.recovered = replay.pages_recovered
+        cell.recovered = mount.replay_recovered
         cell.lost = counts.data_loss
         cell.notes = {
-            "replay_recovered": replay.pages_recovered,
-            "replay_lost": replay.pages_lost,
-            "replay_crc_mismatches": len(replay.crc_mismatches),
+            "replay_recovered": mount.replay_recovered,
+            "replay_lost": mount.replay_lost,
+            "replay_crc_mismatches": mount.replay_crc_mismatches,
             "drain_pending": power.journal.pending,
             "committed_pages": len(leg.shadow),
         }

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.results import Comparison, ExperimentRecord
+from repro.analysis.results import Claim, Comparison, ExperimentRecord
 from repro.analysis.stats import LatencyAccumulator, summarize
-from repro.analysis.tables import render_series, render_table
+from repro.analysis.tables import render_table
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
@@ -88,6 +88,24 @@ class TestExperimentRecord:
         parsed = json.loads(record.to_json())
         assert parsed["experiment_id"] == "figX"
 
+    def test_claim_round_trips_through_str_and_json(self):
+        record = ExperimentRecord("figX", "demo")
+        held = record.claim("a is 1-3 (paper: 2)", 1 <= 2 <= 3)
+        failed = record.claim("a is above 5", 0)
+        assert held == Claim("a is 1-3 (paper: 2)", True)
+        assert failed.ok is False
+        assert str(record).splitlines()[-2:] == [
+            "  claim held: a is 1-3 (paper: 2)",
+            "  claim FAILED: a is above 5"]
+        import json
+        parsed = json.loads(record.to_json())
+        assert parsed["claims"] == [
+            {"text": "a is 1-3 (paper: 2)", "ok": True},
+            {"text": "a is above 5", "ok": False}]
+        from repro.analysis.export import to_json
+        assert json.loads(to_json([record]))[0]["claims"] == \
+            parsed["claims"]
+
 
 class TestTables:
     def test_render_table_alignment(self):
@@ -96,11 +114,6 @@ class TestTables:
         assert len(lines) == 4
         assert lines[0].startswith("name")
         assert "-+-" in lines[1]
-
-    def test_render_series(self):
-        text = render_series("s", ["x1", "x2"], [1.0, 2.0])
-        assert text.startswith("# s")
-        assert "x2" in text
 
     def test_float_formatting(self):
         text = render_table(["v"], [[0.1234], [12.3], [1234.5], [0]])

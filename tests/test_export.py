@@ -50,7 +50,7 @@ class TestJSON:
 
     def test_real_experiment_exports(self):
         from repro.experiments import fig12_td
-        record, _ = fig12_td.run()
+        record = fig12_td.run()
         text = to_csv([record])
         assert "fig12" in text
         assert json.loads(to_json([record]))[0]["experiment_id"] == "fig12"

@@ -1,12 +1,13 @@
-"""Coverage for remaining corners: CLI report, config builds, trace
+"""Coverage for remaining corners: CLI report, config builds, access
 replay on NVDIMM-C."""
 
+import json
 import os
 
+from repro.analysis.results import ExperimentRecord
 from repro.device.nvdimmc import NVDIMMCSystem
 from repro.experiments.common import asic_firmware
 from repro.units import PAGE_4K, kb, mb
-from repro.workloads.trace import Access, AccessTrace
 
 
 def asic() -> dict:
@@ -41,20 +42,27 @@ class TestConfigBuilds:
         assert miss_latency(**asic()) < miss_latency()
 
 
+def replay(system, accesses) -> int:
+    """Drive ``(offset, nbytes, is_write)`` accesses through a DAX
+    system from its time floor; returns the end time."""
+    t = system.now_floor_ps
+    for offset, nbytes, is_write in accesses:
+        t = system.op(offset, nbytes, is_write, t)
+    return t
+
+
 class TestTraceReplayOnNvdc:
     def test_replay_exercises_the_miss_path(self):
         system = NVDIMMCSystem(cache_bytes=mb(2), device_bytes=mb(16))
-        trace = AccessTrace([Access(i * PAGE_4K, kb(4), i % 2 == 0)
-                             for i in range(20)])
-        end = trace.replay(system)
+        end = replay(system, [(i * PAGE_4K, kb(4), i % 2 == 0)
+                              for i in range(20)])
         assert end > 0
         assert system.driver.stats.misses == 20
 
     def test_replay_respects_now_floor(self):
         system = NVDIMMCSystem(cache_bytes=mb(2), device_bytes=mb(16))
-        trace = AccessTrace([Access(0, kb(4), False)])
-        first_end = trace.replay(system)
-        second_end = trace.replay(system)
+        first_end = replay(system, [(0, kb(4), False)])
+        second_end = replay(system, [(0, kb(4), False)])
         assert second_end >= first_end
 
 
@@ -76,3 +84,38 @@ class TestCliReport:
         text = (tmp_path / "EXPERIMENTS.md").read_text()
         assert "## Summary" in text
         assert "fig12" in text
+
+    def test_failed_claim_exits_1_after_writing(self, tmp_path,
+                                                monkeypatch, capsys):
+        """A failed claim is named on stderr and makes `report` exit 1,
+        but only after all three files are written."""
+        import repro.experiments.runner as runner_module
+        from repro.cli import main
+
+        def stub():
+            record = ExperimentRecord("stub", "a claim that fails")
+            record.add("value", "x", 2.0, 1.0)
+            record.claim("value is at least 2 (paper: 2)", False)
+            record.claim("value is positive", True)
+            return record
+
+        monkeypatch.chdir(tmp_path)
+        trimmed = {"table1": runner_module.ALL_EXPERIMENTS["table1"],
+                   "stub": stub}
+        monkeypatch.setattr(runner_module, "ALL_EXPERIMENTS", trimmed)
+        assert main(["report"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "claim failed: stub: value is at least 2 (paper: 2)"]
+        for name in ("EXPERIMENTS.md", "results.csv", "results.json"):
+            assert os.path.exists(tmp_path / name), name
+        stub_json = json.loads((tmp_path / "results.json").read_text())[1]
+        assert stub_json["claims"] == [
+            {"text": "value is at least 2 (paper: 2)", "ok": False},
+            {"text": "value is positive", "ok": True}]
+        markdown = (tmp_path / "EXPERIMENTS.md").read_text()
+        assert "| stub — a claim that fails | 1 | 100 % | 1/2 |" in markdown
+        assert ("- claim FAILED: value is at least 2 (paper: 2)"
+                in markdown)
+        assert main(["experiments", "stub"]) == 1
+        assert main(["experiments", "table1"]) == 0

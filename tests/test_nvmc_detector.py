@@ -107,3 +107,22 @@ class TestDetectorNoise:
             return (det.true_positives, det.false_negatives)
 
         assert run(11) == run(11)
+
+    def test_accuracy_vs_noise_sweep(self):
+        """Accuracy vs per-sample bit-flip rate over a realistic command
+        mix: the margin the paper could not measure on silicon."""
+        mix = [CommandKind.ACT, CommandKind.RD, CommandKind.WR,
+               CommandKind.PRE, CommandKind.NOP]
+        accuracies = {}
+        for ber in (0.0, 1e-6, 1e-4, 1e-3, 1e-2, 5e-2):
+            detector = RefreshDetector(noise_ber=ber, seed=13)
+            for i in range(20_000):
+                if i % 16 == 0:
+                    kind = CommandKind.REF
+                else:
+                    kind = mix[i % len(mix)]
+                detector.observe(i, encode(kind))
+            accuracies[ber] = detector.accuracy
+        assert accuracies[0.0] == 1.0
+        assert accuracies[5e-2] < 1.0            # heavy noise must hurt
+        assert accuracies[1e-6] > accuracies[5e-2]

@@ -4,6 +4,7 @@
 from repro.device.nvdimmc import NVDIMMCSystem
 from repro.device.power import PowerFailureModel
 from repro.nvmc.fsm import FirmwareModel
+from repro.recovery import recover_mount
 from repro.units import PAGE_4K, mb
 
 
@@ -25,7 +26,7 @@ class TestRemount:
             t = system.driver.write_page(page, page_of(page),
                                          max(t, system.nvmc.ready_ps))
         PowerFailureModel(system.driver).power_fail()
-        rebooted = system.remount()
+        rebooted, _ = recover_mount(system)
         t = 0
         for page in range(12):
             data, t = rebooted.driver.read_page(
@@ -36,7 +37,7 @@ class TestRemount:
         system = make_system()
         system.driver.write_page(0, page_of(1), 0)
         PowerFailureModel(system.driver).power_fail()
-        rebooted = system.remount()
+        rebooted, _ = recover_mount(system)
         assert rebooted.driver.cached_pages == 0
         assert rebooted.driver.free_slot_count == rebooted.region.num_slots
         # First access after reboot is a miss (cachefill from NAND).
@@ -48,16 +49,16 @@ class TestRemount:
         data already written back to NAND survives."""
         system = make_system()
         t = system.driver.write_page(0, page_of(7), 0)
-        # No power_fail() drain: simulate a dead battery by remounting
+        # No power_fail() drain: simulate a dead battery by mounting
         # directly.
-        rebooted = system.remount()
+        rebooted, _ = recover_mount(system)
         data, _ = rebooted.driver.read_page(0, 0)
         assert data != page_of(7)          # the write never left DRAM
 
     def test_remount_preserves_configuration(self):
         system = NVDIMMCSystem(cache_bytes=mb(2), device_bytes=mb(32),
                                policy="lru", conservative_dirty=False)
-        rebooted = system.remount()
+        rebooted, _ = recover_mount(system)
         assert rebooted.driver.policy.name == "lru"
         assert not rebooted.driver.conservative_dirty
         assert rebooted.capacity_bytes == system.capacity_bytes
@@ -67,7 +68,7 @@ class TestRemount:
         from repro.units import kb
         system = make_system()
         PowerFailureModel(system.driver).power_fail()
-        rebooted = system.remount()
+        rebooted, _ = recover_mount(system)
         result = FIORunner(rebooted).run(
             FIOJob(rw="randread", bs=kb(4), size=mb(1), nops=100))
         assert result.total_ops == 100
