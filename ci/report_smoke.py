@@ -5,10 +5,11 @@ Usage, from the repository root with ``PYTHONPATH=src``::
     python ci/report_smoke.py KIND DIR [RERUN_DIR]
 
 ``KIND`` is one of ``faults``, ``faults-full``, ``soak``, ``crash``,
-``fleet``, ``chaos`` or ``aging``.  The single ``<PREFIX>_*.json``
-report in ``DIR`` must match its declared ``SHAPE`` and pass the job's
-own assertions (crash: ok, >= 50 cut points, >= 1 drain cut, no
-committed loss, no torn page served; soak: zero data loss).  With
+``crash-full``, ``fleet``, ``chaos`` or ``aging``.  The single
+``<PREFIX>_*.json`` report in ``DIR`` must match its declared ``SHAPE``
+and pass the job's own assertions (crash and crash-full: ok, >= 50 cut
+points, >= 1 drain cut, no committed loss, no torn page served; soak:
+zero data loss).  With
 ``RERUN_DIR`` the rerun's report must equal the first byte for byte
 once ``generated_at`` is nulled.
 
@@ -16,7 +17,9 @@ The report must also equal the one the smoke job has always produced:
 the SHA-256 of its body (``generated_at`` nulled) must match the kind's
 digest in ``ci/report_pins.json``.  The pins hold for the quick
 ``--seed 0`` run of each harness; ``faults-full`` pins the full fault
-matrix (``faults run --seed 0``, all 21 cells).  A change that alters a
+matrix (``faults run --seed 0``, all 21 cells) and ``crash-full`` the
+full crash sweep (``crash --seed 0``, a cut at every event index).  A
+change that alters a
 report on purpose replaces that kind's digest with the one this script
 prints.  Exits 0 when every check holds, 1 otherwise.
 """
@@ -38,6 +41,7 @@ REPORTS = {
     "faults-full": ("FAULTS", "repro.faults.report"),
     "soak": ("SOAK", "repro.health.report"),
     "crash": ("RECOVERY", "repro.recovery.report"),
+    "crash-full": ("RECOVERY", "repro.recovery.report"),
     "fleet": ("FLEET", "repro.fleet.report"),
     "chaos": ("CHAOS", "repro.fleet.chaos_report"),
     "aging": ("AGING", "repro.aging.report"),
@@ -66,7 +70,8 @@ def soak_failures(payload: dict) -> list[str]:
     return [f"{loss} pages lost"] if loss else []
 
 
-ASSERTIONS = {"crash": crash_failures, "soak": soak_failures}
+ASSERTIONS = {"crash": crash_failures, "crash-full": crash_failures,
+              "soak": soak_failures}
 
 #: kind -> SHA-256 of the ``--seed 0`` report's :func:`body`
 PINS = pathlib.Path(__file__).with_name("report_pins.json")

@@ -22,8 +22,9 @@ Run:  python examples/power_failure_drill.py
 
 from repro.ddr.imc import WritePendingQueue
 from repro.device.nvdimmc import NVDIMMCSystem
-from repro.device.power import PowerFailureModel
+from repro.device.power import PowerFailureModel, RecoveredDevice
 from repro.faults import INJECTORS, run_campaign
+from repro.recovery.mount import recover_mount
 from repro.units import PAGE_4K, mb
 
 
@@ -61,7 +62,8 @@ def main() -> None:
           f"Z-NAND, {report.wpq_entries_lost} WPQ entries lost in the race")
 
     # -- recovery --------------------------------------------------------------
-    recovered = power.recover()
+    fresh, _ = recover_mount(system, power.journal)
+    recovered = RecoveredDevice(fresh.driver, power.journal)
     intact = sum(1 for page, payload in records.items()
                  if recovered.read_page(page) == payload)
     print(f"REBOOT: {intact}/{len(records)} flushed pages recovered intact")

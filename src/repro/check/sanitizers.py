@@ -347,13 +347,25 @@ class ProtocolSanitizer(Sanitizer):
             windows = self._windows.get(owner)
             if windows is None:
                 windows = self._windows[owner] = _WindowFIFO()
+            order = windows.order
+            memory = self.WINDOW_MEMORY
             for carried in fields["windows"]:
                 window = int(carried[_WINDOW])
+                nbytes = int(carried[_BYTES])
+                if window not in windows and nbytes <= budget and depth > 0:
+                    # A window this owner has not used, within budget:
+                    # no rule can fire.  Remember it as ``remember``
+                    # would, inline (one transfer per window is the
+                    # common case).
+                    windows[window] = [nbytes, {cmd}]
+                    order.append(window)
+                    while len(order) > memory:
+                        del windows[order.popleft()]
+                    continue
                 entry = windows.get(window)
                 if entry is None:
-                    entry = windows.remember(window, [0, set()],
-                                             self.WINDOW_MEMORY)
-                total = entry[0] = entry[0] + int(carried[_BYTES])
+                    entry = windows.remember(window, [0, set()], memory)
+                total = entry[0] = entry[0] + nbytes
                 if total > budget:
                     self.violation(
                         "window-budget",
@@ -460,6 +472,8 @@ class ScrubSanitizer(Sanitizer):
         else:
             scrubbed = self._scrub_windows.get(owner, ())
             used = self._windows_of(self._dma_windows, owner)
+            order = used.order
+            memory = self.WINDOW_MEMORY
             for carried in fields["windows"]:
                 window = int(carried[_WINDOW])
                 if window in scrubbed:
@@ -469,7 +483,11 @@ class ScrubSanitizer(Sanitizer):
                         "scrub already claimed",
                         record=record, window=window)
                 if window not in used:
-                    used.remember(window, True, self.WINDOW_MEMORY)
+                    # ``used.remember(window, True, ...)``, inline.
+                    used[window] = True
+                    order.append(window)
+                    while len(order) > memory:
+                        del used[order.popleft()]
 
     @staticmethod
     def _windows_of(table: dict[str, _WindowFIFO],
@@ -510,13 +528,38 @@ class TimeSanitizer(Sanitizer):
 
     def observe(self, record: TraceRecord) -> None:
         category = record.category
+        fields = record.fields
+        # A record on which no rule fires is settled in one branch: its
+        # times are ints, none below 0 and, in a monotonic stream, none
+        # before the stream's last (stored times are never negative).
+        # Anything else goes to the checks below, which see the record
+        # afresh.
         if category == "nvmc.dma":
-            times = [carried[_WIN_START]
-                     for carried in record.fields["windows"]]
+            windows = fields["windows"]
+            key = (str(fields.get("owner", "?")), category)
+            floor = self._last.get(key, 0)
+            for carried in windows:
+                t = carried[_WIN_START]
+                if type(t) is not int or t < floor:
+                    break
+                floor = t
+            else:
+                if windows:
+                    self._last[key] = floor
+                return
+            times = [carried[_WIN_START] for carried in windows]
         else:
-            times = [record.time_ps]
+            t = record.time_ps
+            if type(t) is int and t >= 0:
+                if category not in self._MONOTONIC_SET:
+                    return
+                key = (str(fields.get("owner", "?")), category)
+                if t >= self._last.get(key, 0):
+                    self._last[key] = t
+                    return
+            times = [t]
         # ``owner_of``, inlined: this observe runs for every record.
-        key = ((str(record.fields.get("owner", "?")), category)
+        key = ((str(fields.get("owner", "?")), category)
                if category in self._MONOTONIC_SET else None)
         for t in times:
             if not isinstance(t, int) or isinstance(t, bool):

@@ -88,16 +88,18 @@ class RefreshTimeline:
         window should call :meth:`window_containing` first.  This mirrors
         the NVMC firmware, which arms a transfer only for a window it can
         use from its very start.
+
+        The window is that of the first REF at or after ``time_ps -
+        tRFC_device`` (:meth:`index_at_or_after`, inlined), built
+        without the Python-level ``__new__`` a NamedTuple generates:
+        the NVMC asks for three windows per CP operation.
         """
-        index = self.index_at_or_after(
-            time_ps - self.trfc_device_ps)
+        device_ps = self.trfc_device_ps
+        late_ps = time_ps - device_ps - self.offset_ps
+        index = -(-late_ps // self.trefi_ps) if late_ps > 0 else 0
         ref = self.offset_ps + index * self.trefi_ps
-        if ref + self.trfc_device_ps < time_ps:
-            index += 1
-            ref += self.trefi_ps
-        return RefreshWindow(index, ref,
-                             ref + self.trfc_device_ps,
-                             ref + self.trfc_programmed_ps)
+        return tuple.__new__(RefreshWindow, (index, ref, ref + device_ps,
+                                             ref + self.trfc_programmed_ps))
 
     def window_containing(self, time_ps: int) -> RefreshWindow | None:
         """The window whose usable interval contains ``time_ps``, if any."""

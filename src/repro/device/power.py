@@ -193,10 +193,6 @@ class PowerFailureModel:
                             pending=self.journal.pending)
         return report
 
-    def recover(self) -> "RecoveredDevice":
-        """Boot-time view: DRAM contents are gone; NAND remains."""
-        return RecoveredDevice(self.driver, self.journal)
-
 
 class RecoveredDevice:
     """Post-reboot accessor: reads come from the persistent media."""

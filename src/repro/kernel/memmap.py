@@ -79,10 +79,11 @@ class ReservedRegion:
 
     def slot_paddr(self, slot: int) -> int:
         """Physical byte address of cache slot ``slot``."""
-        if not 0 <= slot < self.num_slots:
+        layout = self.layout
+        if not 0 <= slot < layout.slots_bytes // PAGE_4K:
             raise KernelError(f"slot {slot} out of range "
                               f"(region has {self.num_slots})")
-        return self.base_paddr + self.layout.slots_offset + slot * PAGE_4K
+        return self.base_paddr + layout.slots_offset + slot * PAGE_4K
 
     def slot_pfn(self, slot: int) -> int:
         """Page frame number of a cache slot."""

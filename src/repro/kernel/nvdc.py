@@ -315,8 +315,12 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
 
     def _exchange(self, opcode: Opcode, now_ps: int,
                   flush_slot: int | None, fill_slot: int | None,
-                  **fields: int) -> OperationResult:
+                  operands: tuple[int, ...]) -> OperationResult:
         """One CP exchange with timeout/backoff and re-issue (§IV-C).
+
+        ``operands`` are the command's fields after the opcode, in
+        :class:`CPCommand` order (``dram_slot``, ``nand_page`` and, for
+        MERGED, ``wb_dram_slot``, ``wb_nand_page``).
 
         Each attempt re-establishes the §V-B coherence bracket: the
         flush+sfence before any write-carrying command (the device must
@@ -355,8 +359,7 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
                 self.stats.cp_retries += 1
                 if health is not None:
                     health.record("nvdc", "cp-retry", time_ps=t)
-            command = CPCommand(phase=self.nvmc.next_phase(), opcode=opcode,
-                                **fields)
+            command = CPCommand(self.nvmc.next_phase(), opcode, *operands)
             result = self.nvmc.submit(command, t)
             ack = self.nvmc.cp.poll_ack(0, command.phase)
             if ack is None:
@@ -402,7 +405,7 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
         """Flush + CP WRITEBACK + ack poll (§IV-C)."""
         result = self._exchange(Opcode.WRITEBACK, now_ps,
                                 flush_slot=slot, fill_slot=None,
-                                dram_slot=slot, nand_page=page)
+                                operands=(slot, page))
         self.stats.writebacks += 1
         self.stats.windows_total += result.windows_used
         return result.completion_ps + self.calibration.nvdc_ack_poll_ps
@@ -423,7 +426,7 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
         """CP CACHEFILL + ack poll + cacheline invalidation (§V-B)."""
         result = self._exchange(Opcode.CACHEFILL, now_ps,
                                 flush_slot=None, fill_slot=slot,
-                                dram_slot=slot, nand_page=page)
+                                operands=(slot, page))
         self.stats.cachefills += 1
         self.stats.windows_total += result.windows_used
         self._invalidate(self.region.slot_paddr(slot), slot,
@@ -435,8 +438,8 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
         """§VII-C item (4): one CP command carrying both halves."""
         result = self._exchange(Opcode.MERGED, now_ps,
                                 flush_slot=wb_slot, fill_slot=fill_slot,
-                                dram_slot=fill_slot, nand_page=fill_page,
-                                wb_dram_slot=wb_slot, wb_nand_page=wb_page)
+                                operands=(fill_slot, fill_page, wb_slot,
+                                          wb_page))
         self.stats.merged_ops += 1
         self.stats.windows_total += result.windows_used
         self._invalidate(self.region.slot_paddr(fill_slot), fill_slot,

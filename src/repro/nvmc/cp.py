@@ -162,7 +162,8 @@ class CPArea:
 
     def post(self, slot: int, command: CPCommand) -> None:
         """Driver side: write a command word (after cache flush)."""
-        self._check_slot(slot)
+        if not 0 <= slot < self.queue_depth:
+            raise self._slot_error(slot)
         # Stored words all came from ``encode``: their phase bits are
         # the previous command's phase.
         previous = self._commands[slot]
@@ -175,7 +176,8 @@ class CPArea:
     def poll_command(self, slot: int, last_phase: Phase | None) -> \
             CPCommand | None:
         """Device side: a new command if the phase toggled, else None."""
-        self._check_slot(slot)
+        if not 0 <= slot < self.queue_depth:
+            raise self._slot_error(slot)
         word = self._commands[slot]
         if word == 0:
             return None
@@ -190,7 +192,8 @@ class CPArea:
 
     def publish_ack(self, slot: int, word: int) -> None:
         """Device side: write an encoded ack word (see :func:`ack_word`)."""
-        self._check_slot(slot)
+        if not 0 <= slot < self.queue_depth:
+            raise self._slot_error(slot)
         self._acks[slot] = word
 
     def clear_ack(self, slot: int) -> None:
@@ -202,12 +205,14 @@ class CPArea:
         indistinguishable from a fresh one (the ABA hazard of §IV-C's
         minimal mailbox).
         """
-        self._check_slot(slot)
+        if not 0 <= slot < self.queue_depth:
+            raise self._slot_error(slot)
         self._acks[slot] = None
 
     def poll_ack(self, slot: int, phase: Phase) -> CPAck | None:
         """Driver side: the matching ack once the device completed."""
-        self._check_slot(slot)
+        if not 0 <= slot < self.queue_depth:
+            raise self._slot_error(slot)
         word = self._acks[slot]
         if word is None:
             return None
@@ -217,7 +222,8 @@ class CPArea:
             return None
         return decoded
 
-    def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < self.queue_depth:
-            raise CPProtocolError(
-                f"CP slot {slot} out of range (depth {self.queue_depth})")
+    def _slot_error(self, slot: int) -> CPProtocolError:
+        """The error for a slot outside the queue (checked inline: each
+        CP operation posts, acks and polls once)."""
+        return CPProtocolError(
+            f"CP slot {slot} out of range (depth {self.queue_depth})")

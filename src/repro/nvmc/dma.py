@@ -74,21 +74,26 @@ class DMAEngine:
         """Book a transfer into ``window``; returns its completion time.
 
         Raises :class:`DeviceError` if the transfer cannot legally fit —
-        the RTL would simply never start such a transfer.
+        the RTL would simply never start such a transfer.  A size the
+        duration memo holds costs one lookup plus the two checks.
         """
+        duration = self._time_cache.get(nbytes)
         if nbytes > self.window_bytes:
             raise DeviceError(
                 f"transfer of {nbytes} B exceeds the per-window budget "
                 f"of {self.window_bytes} B")
-        duration = self.transfer_time_ps(nbytes)
-        if duration > window.duration_ps:
+        if duration is None:
+            duration = self.transfer_time_ps(nbytes)
+        start = window.start_ps
+        if duration > window.end_ps - start:
             raise DeviceError(
                 f"transfer of {nbytes} B needs {duration} ps but the "
                 f"window is only {window.duration_ps} ps")
-        self.stats.transfers += 1
-        self.stats.bytes_moved += nbytes
-        self.stats.windows_used += 1
-        return window.start_ps + duration
+        stats = self.stats
+        stats.transfers += 1
+        stats.bytes_moved += nbytes
+        stats.windows_used += 1
+        return start + duration
 
     def max_bytes_for(self, window: RefreshWindow) -> int:
         """Largest burst-aligned transfer that fits this window."""

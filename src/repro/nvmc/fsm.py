@@ -47,6 +47,12 @@ TRANSITIONS: dict[NVMCState, tuple[NVMCState, ...]] = {
     NVMCState.ACK: (NVMCState.IDLE, NVMCState.POLL_CP),
 }
 
+#: :data:`TRANSITIONS` keyed by each source state's ``_name_``.  A
+#: member key would hash through the Python-level ``Enum.__hash__`` on
+#: every move; a str key hashes in C, once.
+_SUCCESSORS: dict[str, tuple[NVMCState, ...]] = {
+    state._name_: allowed for state, allowed in TRANSITIONS.items()}
+
 
 @dataclass
 class FirmwareModel:
@@ -80,8 +86,7 @@ class FSMTracker:
 
     def transition(self, new_state: NVMCState, time_ps: int) -> None:
         """Move to ``new_state`` at ``time_ps``, enforcing the table."""
-        allowed = TRANSITIONS[self.state]
-        if new_state not in allowed:
+        if new_state not in _SUCCESSORS[self.state._name_]:
             from repro.errors import DeviceError
             raise DeviceError(
                 f"illegal FSM transition {self.state.name} -> "

@@ -28,7 +28,7 @@ from collections import deque
 from typing import NamedTuple, Protocol
 
 from repro.ddr.device import DRAMDevice
-from repro.ddr.imc import RefreshTimeline, RefreshWindow
+from repro.ddr.imc import RefreshTimeline
 from repro.errors import (CPProtocolError, DegradedModeError,
                           FaultInjectionError, MediaError)
 from repro.nand.controller import NANDController
@@ -228,11 +228,15 @@ class NVMCModel(SnapshotMixin):
         The caller (the nvdc driver) must already have flushed the CP
         cacheline — the kernel layer enforces that; this layer assumes a
         coherent CP view.
+
+        Every operation is one flow: poll, the opcode's media work and
+        DMA, ack.  Each window-bound step is one :meth:`_window` call.
         """
         self.cp.post(slot, command)
         self._cmd_seq += 1
         cmd_id = self._cmd_seq
-        opcode_name = OPCODE_NAMES[command.opcode]
+        opcode = command.opcode
+        opcode_name = OPCODE_NAMES[opcode]
         if self.tracer.enabled:
             self.tracer.emit(submit_ps, "cp.post", _POSTED,
                              owner=self.trace_owner, cmd=cmd_id, slot=slot,
@@ -248,39 +252,56 @@ class NVMCModel(SnapshotMixin):
         # the windows it moved.
         carried: list[tuple] | None = [] if self.tracer.enabled else None
         try:
+            # The media work between poll and ack: none for NOP or a
+            # mangled command word.
+            if fault is not None or opcode is Opcode.NOP:
+                media = None
+            elif opcode is Opcode.CACHEFILL:
+                media = self._cachefill
+            elif opcode is Opcode.WRITEBACK:
+                media = self._writeback
+            elif opcode is Opcode.MERGED:
+                media = self._merged
+            else:
+                raise CPProtocolError(f"unsupported opcode {opcode}")
+            # Poll: the device learns of the command in the first window
+            # at or after ``start``.  POLL_CP is reachable from ACK
+            # (back-to-back commands) and IDLE; an op cut short left the
+            # FSM elsewhere, and it must return to IDLE first.
+            fsm = self.fsm
+            if fsm.state not in (NVMCState.IDLE, NVMCState.ACK):
+                fsm.transition(NVMCState.IDLE, start)
+            end, windows = self._window(NVMCState.POLL_CP, start, CACHELINE,
+                                        "poll", -1, carried)
+            ready = self.firmware.ready_after(end)
             if fault == "phase":
                 # The phase field arrived mangled: the device's poll
                 # sees a word whose phase matches the last command,
                 # concludes it is stale, and goes back to sleep.  One
                 # poll window is burnt; no media work, no
                 # acknowledgement — the driver times out.
-                ready, windows = self._poll(start, carried)
-                self._fsm_to(NVMCState.IDLE, ready)
-                result = OperationResult(command.opcode, submit_ps, ready,
-                                         windows, 0, status=self.NO_ACK)
-            elif fault == "opcode":
-                # The opcode field arrived mangled: the device decodes
-                # garbage and publishes DECODE_ERROR without touching
-                # media.
-                ready, windows = self._poll(start, carried)
-                end, ack_windows = self._ack(ready, carried)
-                result = OperationResult(command.opcode, submit_ps, end,
-                                         windows + ack_windows, 0,
-                                         status=CPAck.DECODE_ERROR)
-            elif command.opcode is Opcode.CACHEFILL:
-                result = self._run_cachefill(command, submit_ps, start,
-                                             carried)
-            elif command.opcode is Opcode.WRITEBACK:
-                result = self._run_writeback(command, submit_ps, start,
-                                             carried)
-            elif command.opcode is Opcode.MERGED:
-                result = self._run_merged(command, submit_ps, start,
-                                          carried)
-            elif command.opcode is Opcode.NOP:
-                result = self._run_nop(command, submit_ps, start, carried)
+                fsm.transition(NVMCState.IDLE, ready)
+                result = OperationResult(opcode, submit_ps, ready, windows,
+                                         0, self.NO_ACK)
             else:
-                raise CPProtocolError(
-                    f"unsupported opcode {command.opcode}")
+                if media is not None:
+                    ready, windows, nand_busy, status = media(
+                        command, ready, windows, carried)
+                elif fault == "opcode":
+                    # The opcode field arrived mangled: the device
+                    # decodes garbage and publishes DECODE_ERROR without
+                    # touching media.
+                    nand_busy, status = 0, CPAck.DECODE_ERROR
+                else:
+                    nand_busy, status = 0, CPAck.OK
+                # Ack: publish the status into the CP area in a window.
+                end, ack_windows = self._window(NVMCState.ACK, ready,
+                                                CACHELINE, "ack", -1,
+                                                carried)
+                fsm.transition(NVMCState.IDLE, end)
+                result = OperationResult(opcode, submit_ps, end,
+                                         windows + ack_windows, nand_busy,
+                                         status)
         finally:
             if carried:
                 # Timed at the first window's ``win_start``.  The record
@@ -320,201 +341,38 @@ class NVMCModel(SnapshotMixin):
         self.ready_ps = result.completion_ps
         return result
 
-    # -- operation flows ---------------------------------------------------------------
+    # -- the window step -------------------------------------------------------------
 
-    def _poll(self, start_ps: int,
-              carried: list | None) -> tuple[int, int]:
-        """The CP-poll step; returns (poll end, windows consumed)."""
-        self._fsm_to(NVMCState.POLL_CP, start_ps)
-        window = self.timeline.next_window(start_ps)
-        end, windows = self._dma_window(CACHELINE, window, "poll", carried)
-        return self.firmware.ready_after(end), windows
-
-    def _ack(self, ready_ps: int, carried: list | None) -> tuple[int, int]:
-        """The ack-publish step; returns (ack end, windows consumed)."""
-        self._fsm_to(NVMCState.ACK, ready_ps)
-        window = self.timeline.next_window(ready_ps)
-        end, windows = self._dma_window(CACHELINE, window, "ack", carried)
-        self._fsm_to(NVMCState.IDLE, end)
-        return end, windows
-
-    def _media_error_ack(self, opcode: Opcode, submit_ps: int,
-                         fail_ps: int, windows: int,
-                         carried: list | None) -> OperationResult:
-        """Publish-path for a failed media operation: ack MEDIA_ERROR."""
-        ready = self.firmware.ready_after(fail_ps)
-        end, ack_windows = self._ack(ready, carried)
-        return OperationResult(opcode, submit_ps, end,
-                               windows + ack_windows, 0,
-                               status=CPAck.MEDIA_ERROR)
-
-    def _degraded_ack(self, opcode: Opcode, submit_ps: int,
-                      fail_ps: int, windows: int,
-                      carried: list | None) -> OperationResult:
-        """Publish-path for an operation the degraded media refused.
-
-        The 4-bit ack status can only say DEGRADED; the driver pulls
-        the machine-readable reason from the shared health monitor.
-        """
-        ready = self.firmware.ready_after(fail_ps)
-        end, ack_windows = self._ack(ready, carried)
-        return OperationResult(opcode, submit_ps, end,
-                               windows + ack_windows, 0,
-                               status=CPAck.DEGRADED)
-
-    def _run_cachefill(self, command: CPCommand, submit_ps: int,
-                       start_ps: int,
-                       carried: list | None) -> OperationResult:
-        ready, windows = self._poll(start_ps, carried)
-        # NAND page read (tR + channel transfer), then firmware arms DMA.
-        self._fsm_to(NVMCState.NAND_READ, ready)
-        self._clock(ready, "nvmc.cachefill.read")
-        try:
-            data, nand_end = self.nand.read_page(command.nand_page, ready)
-        except DegradedModeError:
-            return self._degraded_ack(Opcode.CACHEFILL, submit_ps,
-                                      ready, windows, carried)
-        except MediaError:
-            return self._media_error_ack(Opcode.CACHEFILL, submit_ps,
-                                         ready, windows, carried)
-        nand_busy = nand_end - ready
-        if data is None:
-            data = bytes(PAGE_4K)   # never-written page reads as zeros
-        ready = self.firmware.ready_after(nand_end)
-        # DMA the page into the DRAM cache slot inside a window.
-        self._fsm_to(NVMCState.DRAM_WRITE, ready)
-        window = self.timeline.next_window(ready)
-        end, fill_windows = self._dma_window(
-            PAGE_4K, window, "fill", carried,
-            addr=self._slot_addr(command.dram_slot))
-        self.dram.poke(self._slot_addr(command.dram_slot), data)
-        windows += fill_windows
-        ready = self.firmware.ready_after(end)
-        end, ack_windows = self._ack(ready, carried)
-        return OperationResult(Opcode.CACHEFILL, submit_ps, end,
-                               windows + ack_windows, nand_busy)
-
-    def _run_writeback(self, command: CPCommand, submit_ps: int,
-                       start_ps: int,
-                       carried: list | None) -> OperationResult:
-        ready, windows = self._poll(start_ps, carried)
-        # DMA the victim page out of the DRAM cache inside a window.
-        self._fsm_to(NVMCState.DRAM_READ, ready)
-        window = self.timeline.next_window(ready)
-        end, evict_windows = self._dma_window(
-            PAGE_4K, window, "evict", carried,
-            addr=self._slot_addr(command.dram_slot))
-        data = self.dram.peek(self._slot_addr(command.dram_slot), PAGE_4K)
-        windows += evict_windows
-        # Program NAND; the data sits in the battery-backed buffer, so
-        # the ack does not wait for the program to finish — but the
-        # channel stays busy, which throttles sustained writebacks.
-        self._fsm_to(NVMCState.NAND_PROGRAM, end)
-        self._clock(end, "nvmc.writeback.program")
-        try:
-            nand_end = self.nand.program_page(command.nand_page, data, end)
-        except DegradedModeError:
-            return self._degraded_ack(Opcode.WRITEBACK, submit_ps,
-                                      end, windows, carried)
-        except MediaError:
-            return self._media_error_ack(Opcode.WRITEBACK, submit_ps,
-                                         end, windows, carried)
-        nand_busy = nand_end - end
-        ready = self.firmware.ready_after(end)
-        end, ack_windows = self._ack(ready, carried)
-        return OperationResult(Opcode.WRITEBACK, submit_ps, end,
-                               windows + ack_windows, nand_busy)
-
-    def _run_merged(self, command: CPCommand, submit_ps: int,
-                    start_ps: int,
-                    carried: list | None) -> OperationResult:
-        """Future-work item (4): independent WB+fill in one command.
-
-        The NAND read for the fill overlaps the victim DMA-out and the
-        NAND program runs on the other channel; one poll and one ack are
-        amortised over both halves.
-        """
-        ready, windows = self._poll(start_ps, carried)
-        # Window A: victim out of DRAM; NAND read proceeds in parallel.
-        self._fsm_to(NVMCState.DRAM_READ, ready)
-        window = self.timeline.next_window(ready)
-        wb_end, evict_windows = self._dma_window(
-            PAGE_4K, window, "evict", carried,
-            addr=self._slot_addr(command.wb_dram_slot))
-        victim = self.dram.peek(self._slot_addr(command.wb_dram_slot),
-                                PAGE_4K)
-        windows += evict_windows
-        self._fsm_to(NVMCState.NAND_PROGRAM, wb_end)
-        self._clock(wb_end, "nvmc.writeback.program")
-        try:
-            prog_end = self.nand.program_page(command.wb_nand_page, victim,
-                                              wb_end)
-            self._fsm_to(NVMCState.NAND_READ, wb_end)
-            self._clock(wb_end, "nvmc.cachefill.read")
-            data, read_end = self.nand.read_page(command.nand_page, ready)
-        except DegradedModeError:
-            return self._degraded_ack(Opcode.MERGED, submit_ps,
-                                      wb_end, windows, carried)
-        except MediaError:
-            return self._media_error_ack(Opcode.MERGED, submit_ps,
-                                         wb_end, windows, carried)
-        if data is None:
-            data = bytes(PAGE_4K)
-        nand_busy = max(prog_end, read_end) - ready
-        ready = self.firmware.ready_after(max(wb_end, read_end))
-        # Window B: fill data into the (just vacated) DRAM slot.
-        self._fsm_to(NVMCState.DRAM_WRITE, ready)
-        window = self.timeline.next_window(ready)
-        end, fill_windows = self._dma_window(
-            PAGE_4K, window, "fill", carried,
-            addr=self._slot_addr(command.dram_slot))
-        self.dram.poke(self._slot_addr(command.dram_slot), data)
-        windows += fill_windows
-        ready = self.firmware.ready_after(end)
-        end, ack_windows = self._ack(ready, carried)
-        return OperationResult(Opcode.MERGED, submit_ps, end,
-                               windows + ack_windows, nand_busy)
-
-    def _run_nop(self, command: CPCommand, submit_ps: int,
-                 start_ps: int, carried: list | None) -> OperationResult:
-        ready, windows = self._poll(start_ps, carried)
-        end, ack_windows = self._ack(ready, carried)
-        return OperationResult(Opcode.NOP, submit_ps, end,
-                               windows + ack_windows, 0)
-
-    # -- helpers ----------------------------------------------------------------------------
-
-    def _clock(self, now_ps: int, site: str) -> None:
-        """Consult the fault clock (power loss) at a hook site."""
-        if self.fault_clock is not None:
-            self.fault_clock.check(now_ps, site)
-
-    def _dma_window(self, nbytes: int, window: RefreshWindow, kind: str,
-                    carried: list | None,
-                    addr: int = -1) -> tuple[int, int]:
-        """Move ``nbytes`` through refresh windows; returns
+    def _window(self, state: NVMCState, ready_ps: int, nbytes: int,
+                kind: str, addr: int,
+                carried: list | None) -> tuple[int, int]:
+        """Enter ``state`` at ``ready_ps`` and move ``nbytes`` in the
+        refresh windows from the first one at or after it; returns
         ``(completion time, windows consumed)``.
 
-        The clean path is one transfer in one window, exactly the §IV-A
-        contract.  An injected shortfall truncates a page-sized chunk;
-        the remainder is retried in the next window — each chunk still
-        respects the per-window byte budget, so the transfer stays legal
-        from the sanitizers' point of view, it just takes longer.
+        The clean case is the loop's first pass: one transfer in one
+        window, exactly the §IV-A contract.  An injected shortfall
+        truncates a page-sized chunk and the remainder moves in the
+        next window, so a further pass continues from the first.  Each
+        chunk still respects the per-window byte budget, so the
+        transfer stays legal from the sanitizers' point of view; it
+        just takes longer.
 
         Each window moved is appended to ``carried`` (when tracing) as a
         :data:`DMA_WINDOW_FIELDS` entry, with the window bounds the
         transfer must respect.
         """
+        self.fsm.transition(state, ready_ps)
+        window = self.timeline.next_window(ready_ps)
         remaining = nbytes
         windows_used = 0
-        end = window.start_ps
         while True:
             if self.fault_clock is not None:
-                self._clock(window.start_ps, f"nvmc.dma.{kind}")
-            shortfall = 0
+                self.fault_clock.check(window.start_ps, f"nvmc.dma.{kind}")
+            moved = remaining
             if self.faults is not None and kind in ("fill", "evict"):
                 shortfall = self.faults.pull_dma_shortfall()
-            moved = max(0, remaining - shortfall)
+                moved = remaining - shortfall if shortfall < remaining else 0
             end = (self.dma.schedule(moved, window) if moved > 0
                    else window.start_ps)
             windows_used += 1
@@ -530,13 +388,107 @@ class NVMCModel(SnapshotMixin):
                                    time_ps=window.end_ps)
             window = self.timeline.next_window(window.end_ps)
 
+    # -- media flows -----------------------------------------------------------------
+    #
+    # Each runs between the poll and the ack and returns ``(ack ready
+    # time, windows consumed, NAND busy time, ack status)``.  A refused
+    # or failed media operation skips the rest and acks at once.
+
+    def _cachefill(self, command: CPCommand, ready_ps: int, windows: int,
+                   carried: list | None) -> tuple[int, int, int, int]:
+        # NAND page read (tR + channel transfer), then firmware arms DMA.
+        self.fsm.transition(NVMCState.NAND_READ, ready_ps)
+        if self.fault_clock is not None:
+            self.fault_clock.check(ready_ps, "nvmc.cachefill.read")
+        try:
+            data, nand_end = self.nand.read_page(command.nand_page, ready_ps)
+        except MediaError as exc:
+            return self._refused(exc, ready_ps, windows)
+        if data is None:
+            data = bytes(PAGE_4K)   # never-written page reads as zeros
+        # DMA the page into the DRAM cache slot inside a window.
+        addr = self._slot_addr(command.dram_slot)
+        end, fill_windows = self._window(
+            NVMCState.DRAM_WRITE, self.firmware.ready_after(nand_end),
+            PAGE_4K, "fill", addr, carried)
+        self.dram.poke(addr, data)
+        return (self.firmware.ready_after(end), windows + fill_windows,
+                nand_end - ready_ps, CPAck.OK)
+
+    def _writeback(self, command: CPCommand, ready_ps: int, windows: int,
+                   carried: list | None) -> tuple[int, int, int, int]:
+        # DMA the victim page out of the DRAM cache inside a window.
+        addr = self._slot_addr(command.dram_slot)
+        end, evict_windows = self._window(NVMCState.DRAM_READ, ready_ps,
+                                          PAGE_4K, "evict", addr, carried)
+        data = self.dram.peek(addr, PAGE_4K)
+        windows += evict_windows
+        # Program NAND; the data sits in the battery-backed buffer, so
+        # the ack does not wait for the program to finish — but the
+        # channel stays busy, which throttles sustained writebacks.
+        self.fsm.transition(NVMCState.NAND_PROGRAM, end)
+        if self.fault_clock is not None:
+            self.fault_clock.check(end, "nvmc.writeback.program")
+        try:
+            nand_end = self.nand.program_page(command.nand_page, data, end)
+        except MediaError as exc:
+            return self._refused(exc, end, windows)
+        return (self.firmware.ready_after(end), windows, nand_end - end,
+                CPAck.OK)
+
+    def _merged(self, command: CPCommand, ready_ps: int, windows: int,
+                carried: list | None) -> tuple[int, int, int, int]:
+        """Future-work item (4): independent WB+fill in one command.
+
+        The NAND read for the fill overlaps the victim DMA-out and the
+        NAND program runs on the other channel; one poll and one ack are
+        amortised over both halves.
+        """
+        # Window A: victim out of DRAM; NAND read proceeds in parallel.
+        wb_addr = self._slot_addr(command.wb_dram_slot)
+        wb_end, evict_windows = self._window(NVMCState.DRAM_READ, ready_ps,
+                                             PAGE_4K, "evict", wb_addr,
+                                             carried)
+        victim = self.dram.peek(wb_addr, PAGE_4K)
+        windows += evict_windows
+        self.fsm.transition(NVMCState.NAND_PROGRAM, wb_end)
+        if self.fault_clock is not None:
+            self.fault_clock.check(wb_end, "nvmc.writeback.program")
+        try:
+            prog_end = self.nand.program_page(command.wb_nand_page, victim,
+                                              wb_end)
+            self.fsm.transition(NVMCState.NAND_READ, wb_end)
+            if self.fault_clock is not None:
+                self.fault_clock.check(wb_end, "nvmc.cachefill.read")
+            data, read_end = self.nand.read_page(command.nand_page, ready_ps)
+        except MediaError as exc:
+            return self._refused(exc, wb_end, windows)
+        if data is None:
+            data = bytes(PAGE_4K)
+        # Window B: fill data into the (just vacated) DRAM slot.
+        addr = self._slot_addr(command.dram_slot)
+        end, fill_windows = self._window(
+            NVMCState.DRAM_WRITE,
+            self.firmware.ready_after(max(wb_end, read_end)), PAGE_4K,
+            "fill", addr, carried)
+        self.dram.poke(addr, data)
+        return (self.firmware.ready_after(end), windows + fill_windows,
+                max(prog_end, read_end) - ready_ps, CPAck.OK)
+
+    def _refused(self, exc: MediaError, fail_ps: int,
+                 windows: int) -> tuple[int, int, int, int]:
+        """The ack of a media operation that failed at ``fail_ps``.
+
+        Degraded media acks DEGRADED (the 4-bit status cannot say more;
+        the driver pulls the machine-readable reason from the shared
+        health monitor), any other media failure MEDIA_ERROR.
+        """
+        status = (CPAck.DEGRADED if isinstance(exc, DegradedModeError)
+                  else CPAck.MEDIA_ERROR)
+        return self.firmware.ready_after(fail_ps), windows, 0, status
+
+    # -- helpers ----------------------------------------------------------------------------
+
     def _slot_addr(self, slot_id: int) -> int:
         """DRAM byte address of a cache slot."""
         return self.slot_base + slot_id * PAGE_4K
-
-    def _fsm_to(self, state: NVMCState, time_ps: int) -> None:
-        # POLL_CP is reachable from ACK (back-to-back commands) and IDLE.
-        if state is NVMCState.POLL_CP and self.fsm.state not in (
-                NVMCState.IDLE, NVMCState.ACK):
-            self.fsm.transition(NVMCState.IDLE, time_ps)
-        self.fsm.transition(state, time_ps)

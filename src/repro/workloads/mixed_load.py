@@ -18,6 +18,7 @@ validation failure, exactly what the benchmark exists to catch.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -110,16 +111,20 @@ def run_mixed_load(system: NVDIMMCSystem, users: int = 50,
             now = system.op(page * PAGE_4K, PAGE_4K, False, now)
         return now
 
-    while any(remaining):
-        user = min((u for u in range(users) if remaining[u]),
-                   key=lambda u: cursors[u])
-        now = cursors[user]
+    # (cursor, user) of every user with transactions left: the next is
+    # the earliest cursor, ties to the lowest user index.
+    ready = ([(0, user) for user in range(users)]
+             if transactions_per_user > 0 else [])
+    while ready:
+        now, user = heapq.heappop(ready)
         own_page = user * pages_per_user + rng.randrange(pages_per_user)
         now = page_rw(own_page, user, now, write=False)
         now = page_rw(own_page, user, now, write=True)
         now = page_rw(rng.choice(hot_pages), user, now, write=False)
         cursors[user] = now
         remaining[user] -= 1
+        if remaining[user]:
+            heapq.heappush(ready, (now, user))
 
     # Final sweep: every written page must validate, including those
     # that were evicted to Z-NAND and must come back intact.

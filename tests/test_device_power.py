@@ -4,8 +4,9 @@ import pytest
 
 from repro.ddr.imc import WritePendingQueue
 from repro.device.nvdimmc import NVDIMMCSystem
-from repro.device.power import PowerFailureModel
+from repro.device.power import PowerFailureModel, RecoveredDevice
 from repro.nvmc.fsm import FirmwareModel
+from repro.recovery.mount import recover_mount
 from repro.units import PAGE_4K, mb
 
 
@@ -19,6 +20,13 @@ def page_of(tag):
     return bytes([tag % 256]) * PAGE_4K
 
 
+def cold_mount(system, power):
+    """What a reboot reads: the module cold-mounted over its media, with
+    the drain's journal for the replay audit."""
+    fresh, _ = recover_mount(system, power.journal)
+    return RecoveredDevice(fresh.driver, power.journal)
+
+
 class TestDrain:
     def test_cached_pages_survive_power_loss(self):
         system = make_system()
@@ -29,7 +37,7 @@ class TestDrain:
         power = PowerFailureModel(driver)
         report = power.power_fail()
         assert report.pages_drained == 5
-        recovered = power.recover()
+        recovered = cold_mount(system, power)
         for page in range(5):
             assert recovered.read_page(page) == page_of(page)
 
@@ -48,7 +56,7 @@ class TestDrain:
         system.nand.preload(9, page_of(9))
         power = PowerFailureModel(system.driver)
         power.power_fail()
-        assert power.recover().read_page(9) == page_of(9)
+        assert cold_mount(system, power).read_page(9) == page_of(9)
 
 
 class TestWPQRace:
@@ -64,7 +72,7 @@ class TestWPQRace:
         power = PowerFailureModel(driver, wpq=wpq)
         report = power.power_fail(flush_wpq_first=False)
         assert report.wpq_entries_lost == 1
-        recovered = power.recover()
+        recovered = cold_mount(system, power)
         assert recovered.read_page(0) == page_of(1)   # old data won
 
     def test_wpq_survives_when_adr_wins(self):
@@ -78,7 +86,7 @@ class TestWPQRace:
         power = PowerFailureModel(driver, wpq=wpq)
         report = power.power_fail(flush_wpq_first=True)
         assert report.wpq_entries_raced_in == 1
-        recovered = power.recover()
+        recovered = cold_mount(system, power)
         assert recovered.read_page(0)[:64] == b"\x63" * 64
         assert recovered.read_page(0)[64:] == page_of(1)[64:]
 
@@ -92,7 +100,7 @@ class TestDrainEdgeCases:
         assert report.pages_drained == 0
         assert report.drained_pages == []
         assert not report.interrupted
-        replay = power.recover().replay()
+        replay = cold_mount(system, power).replay()
         assert replay.clean
         assert replay.pages_recovered == 0
 
@@ -110,8 +118,9 @@ class TestDrainEdgeCases:
         power = PowerFailureModel(driver)
         report = power.power_fail()
         assert report.pages_drained == 1
-        assert power.recover().read_page(0) == page_of(7)
-        assert power.recover().replay().clean
+        recovered = cold_mount(system, power)
+        assert recovered.read_page(0) == page_of(7)
+        assert recovered.replay().clean
 
     def test_back_to_back_power_fail_is_idempotent(self):
         """A second power event re-walks the same journal and programs
@@ -126,7 +135,7 @@ class TestDrainEdgeCases:
         second = power.power_fail(now_ps=2_000_000)
         assert second.pages_drained == first.pages_drained == 4
         assert second.drained_pages == first.drained_pages
-        replay = power.recover().replay()
+        replay = cold_mount(system, power).replay()
         assert replay.clean and replay.pages_recovered == 4
 
     def test_interrupted_drain_reports_losses_honestly(self):
@@ -144,7 +153,7 @@ class TestDrainEdgeCases:
         power.fault_clock = FaultClock().cut_on_visit(3, site="power.drain")
         with pytest.raises(PowerLossInterrupt):
             power.power_fail()
-        replay = power.recover().replay()
+        replay = cold_mount(system, power).replay()
         assert replay.pages_recovered == 2
         assert replay.pages_lost == 3
         assert not replay.clean

@@ -8,7 +8,7 @@ from repro.cpu.mmu import MMU
 from repro.device.arbitration import (DummyAccessScheme,
                                       PriorityPreemptScheme, TRFCScheme)
 from repro.device.nvdimmc import NVDIMMCSystem
-from repro.device.power import PowerFailureModel
+from repro.device.power import PowerFailureModel, RecoveredDevice
 from repro.device.variants import (all_variants,
                                    compatible_and_byte_addressable_and_dense,
                                    nvdimm_c, nvdimm_n)
@@ -18,6 +18,7 @@ from repro.experiments.design_space import (max_programmable_budget_ps,
 from repro.ddr.spec import GRADE_2400
 from repro.kernel.devdax import DevDaxDevice
 from repro.nvmc.fsm import FirmwareModel
+from repro.recovery.mount import recover_mount
 from repro.units import PAGE_4K, mb
 
 
@@ -67,7 +68,9 @@ class TestDevDax:
         dax.persist(core, 0x40000000 + PAGE_4K, len(payload))
         power = PowerFailureModel(system.driver)
         power.power_fail()
-        recovered = power.recover().read_page(1)
+        fresh, _ = recover_mount(system, power.journal)
+        recovered = RecoveredDevice(fresh.driver,
+                                    power.journal).read_page(1)
         assert recovered[:len(payload)] == payload
 
     def test_unpersisted_store_may_be_lost(self):
@@ -79,7 +82,9 @@ class TestDevDax:
         core.store(0x40000000 + PAGE_4K, payload)   # no persist()
         power = PowerFailureModel(system.driver)
         power.power_fail()
-        recovered = power.recover().read_page(1)
+        fresh, _ = recover_mount(system, power.journal)
+        recovered = RecoveredDevice(fresh.driver,
+                                    power.journal).read_page(1)
         assert recovered[:len(payload)] != payload
 
 

@@ -11,9 +11,10 @@ import random
 from repro.cpu.core import CPUCore
 from repro.cpu.mmu import MMU
 from repro.device.nvdimmc import NVDIMMCSystem
-from repro.device.power import PowerFailureModel
+from repro.device.power import PowerFailureModel, RecoveredDevice
 from repro.kernel.fs import DaxFilesystem
 from repro.nvmc.fsm import FirmwareModel
+from repro.recovery.mount import recover_mount
 from repro.units import PAGE_4K, mb
 
 
@@ -122,7 +123,8 @@ class TestCrashDuringActivity:
                 committed[i] = payload
         power = PowerFailureModel(system.driver)
         power.power_fail()
-        recovered = power.recover()
+        fresh, _ = recover_mount(system, power.journal)
+        recovered = RecoveredDevice(fresh.driver, power.journal)
         for i, payload in committed.items():
             page = handle.start_page + i
             assert recovered.read_page(page)[:len(payload)] == payload

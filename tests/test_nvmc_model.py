@@ -1,13 +1,17 @@
 """Tests for the transaction-level NVMC: window scheduling + data flow."""
 
+import re
+
+import pytest
 
 from repro.ddr.device import DRAMDevice
 from repro.ddr.imc import RefreshTimeline
-from repro.ddr.spec import NVDIMMC_1600
+from repro.ddr.spec import DDR4_1600, NVDIMMC_1600
+from repro.errors import DeviceError
 from repro.nand.controller import NANDController
 from repro.nand.spec import ZNANDSpec
 from repro.nvmc.cp import CPCommand, Opcode, Phase
-from repro.nvmc.fsm import FirmwareModel
+from repro.nvmc.fsm import FirmwareModel, NVMCState
 from repro.nvmc.nvmc import NVMCModel
 from repro.units import kb, mb, us
 
@@ -147,3 +151,55 @@ class TestPhaseManagement:
         assert nvmc.next_phase() is Phase.ODD
         assert nvmc.next_phase() is Phase.EVEN
         assert nvmc.next_phase() is Phase.ODD
+
+
+def make_warm_nvmc(spec=SPEC, window_bytes=kb(4)):
+    """An NVMC whose DMA duration memo already holds both CP sizes, so
+    every transfer below is a memo hit."""
+    nand_spec = ZNANDSpec(
+        name="test", capacity_bytes=128 * 16 * kb(4), page_bytes=kb(4),
+        pages_per_block=16, planes_per_die=1, dies=1,
+        initial_bad_block_ppm=0)
+    nand = NANDController(nand_spec, logical_capacity_bytes=64 * 16 * kb(4),
+                          channels=2, dies_total=2)
+    nvmc = NVMCModel(RefreshTimeline(spec), nand,
+                     DRAMDevice(spec, capacity_bytes=mb(64)),
+                     window_bytes=window_bytes)
+    nvmc.dma.transfer_time_ps(64)
+    nvmc.dma.transfer_time_ps(kb(4))
+    return nvmc
+
+
+class TestWindowStepChecks:
+    """The window step keeps the DMA engine's and the FSM's checks on a
+    memo hit (the CP oracle never varies the budget or the spec)."""
+
+    def test_budget_below_a_page_refuses_the_fill(self):
+        nvmc = make_warm_nvmc(window_bytes=kb(2))
+        cmd = CPCommand(Phase.ODD, Opcode.CACHEFILL, 3, 7)
+        with pytest.raises(DeviceError, match=re.escape(
+                "transfer of 4096 B exceeds the per-window budget of "
+                "2048 B")):
+            nvmc.submit(cmd, 0)
+        assert nvmc.dma.stats.transfers == 1     # the poll moved
+
+    def test_zero_length_window_refuses_the_poll(self):
+        nvmc = make_warm_nvmc(spec=DDR4_1600)     # stock tRFC
+        assert nvmc.timeline.window_duration_ps == 0
+        need = nvmc.dma.transfer_time_ps(64)
+        cmd = CPCommand(Phase.ODD, Opcode.NOP)
+        with pytest.raises(DeviceError, match=re.escape(
+                f"transfer of 64 B needs {need} ps but the window is only "
+                "0 ps")):
+            nvmc.submit(cmd, 0)
+        assert nvmc.dma.stats.transfers == 0
+
+    def test_op_left_mid_flight_is_refused(self):
+        nvmc = make_warm_nvmc()
+        nvmc.fsm.state = NVMCState.DRAM_WRITE   # as a power cut left it
+        cmd = CPCommand(Phase.ODD, Opcode.CACHEFILL, 3, 7)
+        with pytest.raises(DeviceError, match=re.escape(
+                "illegal FSM transition DRAM_WRITE -> IDLE at 5000 ps")):
+            nvmc.submit(cmd, 5000)
+        assert nvmc.fsm.state is NVMCState.DRAM_WRITE
+        assert nvmc.dma.stats.transfers == 0

@@ -17,6 +17,10 @@ the live sanitizers replaced with one record per CP operation carrying
 its windows.  They are fed each carried window at a time, as the record
 the emitter used to build for it; a violation they raise on such a
 record names the operation's record.
+
+``TimeSanitizer`` below is the implementation that checked every time
+through one loop, before the live one settled a record on which no rule
+fires in one branch; it is kept verbatim as the oracle of that branch.
 """
 
 from __future__ import annotations
@@ -28,8 +32,11 @@ from hypothesis import strategies as st
 
 from repro.check import sanitizers as live
 from repro.check.sanitizer import Sanitizer, SanitizerSuite
+from repro.nvmc.cp import Phase
 from repro.nvmc.nvmc import DMA_WINDOW_FIELDS
 from repro.sim.trace import TraceRecord, Tracer
+
+_WIN_START = DMA_WINDOW_FIELDS.index("win_start")
 
 
 class ProtocolSanitizer(Sanitizer):
@@ -224,6 +231,67 @@ class ScrubSanitizer(Sanitizer):
             del windows[next(iter(windows))]
 
 
+class TimeSanitizer(Sanitizer):
+    """Simulated time is integer picoseconds and moves forward.
+
+    Rules:
+        ``non-integer-time`` — a record carried a non-``int`` timestamp
+            (floats silently lose picosecond precision).
+        ``negative-time``    — time before the big bang.
+        ``time-regression``  — within one (owner, category) stream whose
+            emitter is serialised (bus traffic, refresh loop, CP acks,
+            windowed DMA), a record went backwards in time.
+
+    The timestamps of an ``nvmc.dma`` record are its carried windows'
+    starts, checked in the order moved, so a window that goes backwards
+    inside one CP operation is a regression too.
+    """
+
+    #: Streams whose emitters guarantee non-decreasing emission times.
+    MONOTONIC = ("ddr.cmd", "imc.refresh", "cp.ack", "nvmc.dma")
+
+    #: ``MONOTONIC`` as a set — this sanitizer sees *every* record, so
+    #: the membership test is one of the hottest lines in the suite.
+    _MONOTONIC_SET = frozenset(MONOTONIC)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._last: dict[tuple[str, str], int] = {}
+
+    def observe(self, record: TraceRecord) -> None:
+        category = record.category
+        if category == "nvmc.dma":
+            times = [carried[_WIN_START]
+                     for carried in record.fields["windows"]]
+        else:
+            times = [record.time_ps]
+        # ``owner_of``, inlined: this observe runs for every record.
+        key = ((str(record.fields.get("owner", "?")), category)
+               if category in self._MONOTONIC_SET else None)
+        for t in times:
+            if not isinstance(t, int) or isinstance(t, bool):
+                self.violation(
+                    "non-integer-time",
+                    f"record {category} carries non-integer time {t!r} "
+                    f"({type(t).__name__}); simulated time is integer "
+                    "picoseconds",
+                    record=record, time=t)
+            elif t < 0:
+                self.violation(
+                    "negative-time",
+                    f"record {category} at negative time {t} ps",
+                    record=record, time=t)
+            elif key is not None:
+                last = self._last.get(key)
+                if last is not None and t < last:
+                    self.violation(
+                        "time-regression",
+                        f"{category} stream of {key[0]} went backwards: "
+                        f"{t} ps after {last} ps",
+                        record=record, time=t, previous=last)
+                self._last[key] = t
+
+
 
 
 OWNERS = ("nvmc#0", "nvmc#1", "nvmc#2")
@@ -365,3 +433,82 @@ def test_revisited_pruned_window_starts_a_fresh_budget():
     rules = [[v.rule for v in s.violations] for s in (fast, oracle)]
     assert rules[0] == rules[1] == ["window-budget"]
     assert fast.violations[0].details["window"] == 2
+
+
+#: Streams past the budget and with a queue depth of 0: every rule the
+#: live sanitizers' fast branches must leave to their full checks.
+WIDE_EVENTS = st.lists(st.one_of(
+    st.tuples(st.just("dma"), st.sampled_from(OWNERS), st.integers(0, 3),
+              st.lists(st.tuples(st.integers(0, 9),
+                                 st.sampled_from((64, BUDGET, BUDGET + 64,
+                                                  2 * BUDGET))),
+                       min_size=1, max_size=3)),
+    st.tuples(st.just("scrub"), st.sampled_from(OWNERS), st.integers(0, 9),
+              st.booleans()),
+    st.tuples(st.just("post"), st.sampled_from(OWNERS), st.integers(0, 2)),
+    st.tuples(st.just("ack"), st.sampled_from(OWNERS)),
+), max_size=150)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=WIDE_EVENTS, memory=st.integers(1, 4))
+def test_fast_branches_leave_every_rule_to_the_checks(events, memory):
+    fast = [live.ProtocolSanitizer(), live.ScrubSanitizer()]
+    oracle = [ProtocolSanitizer(), ScrubSanitizer()]
+    for sanitizer in fast + oracle:
+        sanitizer.WINDOW_MEMORY = memory
+    tracer = Tracer(enabled=True)
+    records: list[TraceRecord] = []
+    tracer.subscribe(records.append)
+    suite = SanitizerSuite(fast).attach(tracer)
+    for time_ps, event in enumerate(events):
+        emit(tracer, time_ps, event)
+    suite.detach()
+    op_of: dict[int, TraceRecord] = {}
+    for record in one_window_at_a_time(records, op_of):
+        for sanitizer in oracle:
+            sanitizer.observe(record)
+    assert seen(fast) == seen(oracle, op_of)
+
+
+#: Timestamps: in-order and regressing ints, negative ints, floats,
+#: bools and an int subclass.
+TIMES = st.one_of(st.integers(0, 40), st.integers(-3, 40),
+                  st.floats(-2.0, 40.0), st.booleans(),
+                  st.sampled_from(tuple(Phase)))
+
+TIME_EVENTS = st.lists(st.one_of(
+    st.tuples(st.just("nvmc.dma"), st.sampled_from(OWNERS),
+              st.lists(TIMES, max_size=3)),
+    st.tuples(st.sampled_from(("cp.ack", "ddr.cmd", "imc.refresh",
+                               "cp.post", "nvdc.op")),
+              st.sampled_from(OWNERS), TIMES),
+), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=TIME_EVENTS)
+def test_time_sanitizer_matches_its_one_loop_oracle(events):
+    """Same violations in the same order, with the same rule, message,
+    details, record and context, over streams that mix owners,
+    monotonic and other categories and multi-window ``nvmc.dma``
+    records."""
+    fast, oracle = live.TimeSanitizer(), TimeSanitizer()
+    tracer = Tracer(enabled=True)
+    suites = [SanitizerSuite([fast]).attach(tracer),
+              SanitizerSuite([oracle]).attach(tracer)]
+    for category, owner, times in events:
+        if category == "nvmc.dma":
+            tracer.emit(times[0] if times else 0, category, "windows",
+                        owner=owner, cmd=0, budget=BUDGET,
+                        windows=tuple(("poll", 0, 64, 64, -1, t, 0, 0)
+                                      for t in times))
+        else:
+            tracer.emit(times, category, "record", owner=owner)
+    for suite in suites:
+        suite.detach()
+    assert [(str(v), v.rule, v.details, v.record, v.context)
+            for v in fast.violations] == \
+        [(str(v), v.rule, v.details, v.record, v.context)
+         for v in oracle.violations]
+    assert list(fast._last.items()) == list(oracle._last.items())
