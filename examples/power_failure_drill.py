@@ -65,7 +65,7 @@ def main() -> None:
     fresh, _ = recover_mount(system, power.journal)
     recovered = RecoveredDevice(fresh.driver, power.journal)
     intact = sum(1 for page, payload in records.items()
-                 if recovered.read_page(page) == payload)
+                 if recovered.read_page(page)[:len(payload)] == payload)
     print(f"REBOOT: {intact}/{len(records)} flushed pages recovered intact")
     first = recovered.read_page(0)[:10]
     print(f"page 0 starts with {first!r} — the WPQ store never made it "

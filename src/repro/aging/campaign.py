@@ -16,8 +16,9 @@ A shard ends when the health ladder reaches ``read_only`` (the grown
 bad blocks cross the budget) or the epoch budget runs out (censored).
 
 A *campaign* ages ``shards`` independently-seeded shards under each
-configured GC victim strategy, with matched shard seeds across
-strategies so wear-leveling comparisons see identical workloads.
+configured GC victim strategy, every shard forked from one filled
+module and matched shard seeds across strategies, so wear-leveling
+comparisons see identical workloads.
 Campaign acceptance, checked from the report alone:
 
 * **zero committed loss at every epoch** — every shadow-tracked page
@@ -466,18 +467,19 @@ def _build_system(config: AgingConfig, tracer: Tracer) -> NVDIMMCSystem:
     return system
 
 
-def _strategy_prefix(config: AgingConfig, strategy: str, tracer: Tracer,
-                     ) -> tuple[NVDIMMCSystem, Leg, int]:
+def _prefix(config: AgingConfig, tracer: Tracer,
+            ) -> tuple[NVDIMMCSystem, Leg, int]:
     """Bring-up plus the RNG-free sequential fill, shared by all shards.
 
     After the fill the GC water marks are pinned just below the free
     pool: an endurance campaign wants the device living in its *steady
     state* — GC active, victim strategies making real choices — from
     epoch one, not after simulating years of fill-up traffic first.
+    The fill writes each footprint page once into a device with room
+    to spare, so it runs no GC pass and erases no block: no victim
+    strategy acts on it, and each fork sets its own (:func:`_fork_state`).
     """
     system = _build_system(config, tracer)
-    system.nand.ftl.set_victim_strategy(
-        strategy, static_period=config.static_level_period)
     leg = Leg(system.driver, config.footprint)
     t = round(us(1))
     t = leg.seq_write(t, 0, EpochLog(epoch=0))
@@ -603,10 +605,15 @@ def _shard_outcome(config: AgingConfig, strategy: str,
     return ShardOutcome(strategy=strategy, shard=shard, wear_accel=accel)
 
 
-def _fork_state(config: AgingConfig, shard: int,
+def _fork_state(config: AgingConfig, strategy: str, shard: int,
                 snap: SimSnapshot) -> dict:
     state = snap.restore()
-    state["system"].nand.reseed(_campaign_seed(config.seed, "media", shard))
+    nand = state["system"].nand
+    # The fill erased nothing, so this arms the static-leveling timer
+    # exactly where setting the strategy before the fill would have.
+    nand.ftl.set_victim_strategy(
+        strategy, static_period=config.static_level_period)
+    nand.reseed(_campaign_seed(config.seed, "media", shard))
     state["rng"] = random.Random(_campaign_seed(config.seed, "work", shard))
     return state
 
@@ -619,27 +626,28 @@ def run_aging(config: AgingConfig,
               ) -> AgingResult:
     """Age the whole population and aggregate the fleet telemetry.
 
-    Each strategy runs its prefix (bring-up + fill, which consumes no
-    workload RNG) once, captures it, and forks every shard from the
-    capture with an independent media seed and workload RNG.  The
-    prefix's own suite is a template no run continues, so it is not
-    counted: every shard counts the violations its forked suite holds,
-    the prefix's among them.
+    The campaign runs its prefix (bring-up + fill, which consumes no
+    workload RNG) once, captures it, and forks every shard of every
+    strategy from the capture with the shard's victim strategy, an
+    independent media seed and a workload RNG.  The prefix's own suite
+    is a template no run continues, so it is not counted: every shard
+    counts the violations its forked suite holds, the prefix's among
+    them.
     """
     result = AgingResult(config=config)
+    tracer = Tracer(enabled=True)
+    suite = default_suite()
+    with use_tracer(tracer):
+        with suite.attach(tracer):
+            system, leg, t = _prefix(config, tracer)
+            snap = SimSnapshot.capture(
+                {"system": system, "leg": leg, "tracer": tracer,
+                 "suite": suite, "rng": None, "t": t},
+                label="aging-epoch")
     for strategy in config.strategies:
-        tracer = Tracer(enabled=True)
-        suite = default_suite()
-        with use_tracer(tracer):
-            with suite.attach(tracer):
-                system, leg, t = _strategy_prefix(config, strategy, tracer)
-                snap = SimSnapshot.capture(
-                    {"system": system, "leg": leg, "tracer": tracer,
-                     "suite": suite, "rng": None, "t": t},
-                    label="aging-epoch")
         for shard in range(config.shard_count):
             outcome = _shard_outcome(config, strategy, shard)
-            state = _fork_state(config, shard, snap)
+            state = _fork_state(config, strategy, shard, snap)
             state = _age_shard(config, outcome, state)
             state["suite"].detach()
             result.violations += len(state["suite"].violations)

@@ -346,13 +346,16 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
         attempts = 0
         policy = self.cp_retry_policy
         health = self.health
+        # Both brackets act on the CPU cache only: without one, skip
+        # their address arithmetic too.
+        coherent = self.cpu_cache is not None
         while policy.allows(attempts):
             attempts += 1
-            if flush_slot is not None:
+            if flush_slot is not None and coherent:
                 self._flush_bracket(self.region.slot_paddr(flush_slot),
                                     flush_slot, t)
             if attempts > 1:
-                if fill_slot is not None:
+                if fill_slot is not None and coherent:
                     self._invalidate(self.region.slot_paddr(fill_slot),
                                      fill_slot, t)
                 self.nvmc.cp.clear_ack(0)
@@ -429,8 +432,9 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
                                 operands=(slot, page))
         self.stats.cachefills += 1
         self.stats.windows_total += result.windows_used
-        self._invalidate(self.region.slot_paddr(slot), slot,
-                         result.completion_ps)
+        if self.cpu_cache is not None:
+            self._invalidate(self.region.slot_paddr(slot), slot,
+                             result.completion_ps)
         return result.completion_ps + self.calibration.nvdc_ack_poll_ps
 
     def _merged(self, fill_slot: int, fill_page: int, wb_slot: int,
@@ -442,8 +446,9 @@ class NvdcDriver(BlockDevice, SnapshotMixin):
                                           wb_page))
         self.stats.merged_ops += 1
         self.stats.windows_total += result.windows_used
-        self._invalidate(self.region.slot_paddr(fill_slot), fill_slot,
-                         result.completion_ps)
+        if self.cpu_cache is not None:
+            self._invalidate(self.region.slot_paddr(fill_slot), fill_slot,
+                             result.completion_ps)
         return result.completion_ps + self.calibration.nvdc_ack_poll_ps
 
     def _trace_coherence(self, category: str, now_ps: int, addr: int,

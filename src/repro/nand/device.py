@@ -60,6 +60,9 @@ class BlockInfo:
 class NANDDie(SnapshotMixin):
     """One die: ``planes_per_die`` planes of ``blocks_per_plane`` blocks."""
 
+    #: Page payloads every snapshot fork aliases (``repro.sim.snapshot``).
+    SNAPSHOT_PAYLOADS = ("_data", "_erased_page")
+
     def __init__(self, spec: ZNANDSpec, die_index: int = 0,
                  rng_seed: int | None = None) -> None:
         spec.validate()
@@ -111,19 +114,20 @@ class NANDDie(SnapshotMixin):
                     self.block_info(plane, block).bad = True
 
     def block_info(self, plane: int, block: int) -> BlockInfo:
-        self._check_block(plane, block)
-        key = (plane, block)
-        info = self.blocks.get(key)
+        # Only in-range blocks are ever entered, so a hit needs no
+        # bounds check: the check runs once, when the entry is made.
+        info = self.blocks.get((plane, block))
         if info is None:
-            info = BlockInfo()
-            self.blocks[key] = info
+            self._check_block(plane, block)
+            info = self.blocks[(plane, block)] = BlockInfo()
         return info
 
     # -- operations ---------------------------------------------------------
 
     def read_page(self, plane: int, block: int, page: int) -> bytes:
         """Raw page read; erased pages read as all-0xFF (NAND idiom)."""
-        self._check_page(plane, block, page)
+        if not 0 <= page < self._pages_per_block:
+            self._check_page(plane, block, page)    # raises, block first
         info = self.block_info(plane, block)
         if info.bad:
             raise MediaError(
@@ -144,8 +148,10 @@ class NANDDie(SnapshotMixin):
     def program_page(self, plane: int, block: int, page: int,
                      data: bytes, oob: object | None = None) -> None:
         """Program a page; must target the block's next erased page."""
-        self._check_page(plane, block, page)
+        if not 0 <= page < self._pages_per_block:
+            self._check_page(plane, block, page)    # raises, block first
         if len(data) != self.spec.page_bytes:
+            self._check_block(plane, block)         # a range error wins
             raise MediaError(
                 f"program data must be exactly {self.spec.page_bytes} B, "
                 f"got {len(data)}")
@@ -190,7 +196,6 @@ class NANDDie(SnapshotMixin):
 
     def erase_block(self, plane: int, block: int) -> None:
         """Erase a whole block, aging it; wears out at endurance limit."""
-        self._check_block(plane, block)
         info = self.block_info(plane, block)
         if info.bad:
             raise MediaError(

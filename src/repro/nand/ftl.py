@@ -167,6 +167,9 @@ class FTLRecoveryStats:
 class FlashTranslationLayer(SnapshotMixin):
     """Page-mapped FTL over a set of dies."""
 
+    #: Page payloads every snapshot fork aliases (``repro.sim.snapshot``).
+    SNAPSHOT_PAYLOADS = ("_zero_page",)
+
     #: GC starts when fewer free blocks than this remain (per pool).
     GC_LOW_WATER = 4
     #: GC relocates until this many free blocks are available again.

@@ -24,6 +24,21 @@ independent copy-on-write fork: the blob itself is immutable and shared
 between forks; every fork gets its own object graph and can diverge
 freely.
 
+Page payloads
+-------------
+
+Flash pages dominate a mid-run system's footprint, and being immutable
+``bytes`` they are safe for every fork to alias — the actual
+copy-on-write: the payload is never copied, only the object graph
+around it.  A class that holds page payloads names the attributes in
+its ``SNAPSHOT_PAYLOADS``; each is a ``bytes`` or a dict of them.  A
+capture moves those payloads into the snapshot's ``shared`` list,
+deduplicated by identity, and writes an index in their place; a
+restore resolves a holder's indices in one call, fetching the payloads
+from C, with no Python call per payload.  Everything else pickles as
+usual: DRAM rows, for one, are ``bytearray`` and travel inside the
+blob.
+
 Callback snapshot rules
 -----------------------
 
@@ -48,6 +63,8 @@ is an explicit, baselined decision.
 from __future__ import annotations
 
 import bisect
+import copyreg
+import functools
 import io
 import pickle
 from typing import Any
@@ -55,27 +72,47 @@ from typing import Any
 #: Serialization protocol: the newest both supported interpreters speak.
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: ``bytes`` payloads at least this large are shared between forks by
-#: reference instead of being serialized into the blob.  Flash pages
-#: and DRAM slot contents dominate a mid-run system's footprint, and
-#: being immutable they are safe for every fork to alias — the actual
-#: copy-on-write: the payload is never copied, only the object graph
-#: around it.
-_SHARE_MIN_BYTES = 256
-
 
 class SnapshotError(Exception):
     """State could not be captured (or restored) as a snapshot."""
 
 
-class _ForkPickler(pickle.Pickler):
-    """Pickler that externalizes large immutable payloads.
+class _Call:
+    """``func(*args)``, pickled as one call that the restore makes."""
 
-    Big ``bytes`` objects get a persistent id indexing into ``shared``
-    (deduplicated by object identity); everything else pickles
-    normally.  The resulting blob holds only the object *structure* —
-    restoring is cheap because the payload megabytes are aliased, not
-    re-materialized.
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: Any, args: tuple) -> None:
+        self.func = func
+        self.args = args
+
+    def __reduce__(self) -> tuple:
+        return self.func, self.args
+
+
+def _resolve(fetch: Any, names: tuple[str, ...], state: dict) -> dict:
+    """A holder's state with each payload index replaced by
+    ``fetch(index)``: one call per holder, none per payload.
+
+    A blob calls it as ``_resolve(names, state)``; the restoring
+    :class:`_ForkUnpickler` binds ``fetch`` to ``shared.__getitem__``.
+    """
+    for name in names:
+        ref = state[name]
+        state[name] = (fetch(ref) if type(ref) is int else
+                       dict(zip(ref, map(fetch, ref.values()))))
+    return state
+
+
+class _ForkPickler(pickle.Pickler):
+    """Pickler that moves declared page payloads into ``shared``.
+
+    CPython consults :meth:`reducer_override` only for objects that are
+    not exact builtins, so ints, strings, tuples and the like cost no
+    Python call.  A payload holder (a class with ``SNAPSHOT_PAYLOADS``)
+    pickles as usual, except that its state passes through
+    :func:`_resolve` with each payload replaced by its index in
+    ``shared``.
     """
 
     def __init__(self, buffer: io.BytesIO, shared: list[bytes]) -> None:
@@ -83,25 +120,38 @@ class _ForkPickler(pickle.Pickler):
         self._shared = shared
         self._index: dict[int, int] = {}
 
-    def persistent_id(self, obj: Any) -> int | None:
-        if type(obj) is bytes and len(obj) >= _SHARE_MIN_BYTES:
-            key = id(obj)
-            idx = self._index.get(key)
-            if idx is None:
-                idx = len(self._shared)
-                self._shared.append(obj)
-                self._index[key] = idx
-            return idx
-        return None
+    def _ref(self, payload: bytes) -> int:
+        key = id(payload)
+        ref = self._index.get(key)
+        if ref is None:
+            ref = self._index[key] = len(self._shared)
+            self._shared.append(payload)
+        return ref
+
+    def reducer_override(self, obj: Any) -> Any:
+        names = getattr(type(obj), "SNAPSHOT_PAYLOADS", None)
+        if names is None:
+            return NotImplemented
+        state = dict(obj.__dict__)
+        for name in names:
+            value = state[name]
+            state[name] = (self._ref(value) if type(value) is bytes else
+                           dict(zip(value, map(self._ref, value.values()))))
+        return (copyreg.__newobj__, (type(obj),),
+                _Call(_resolve, (names, state)))
 
 
 class _ForkUnpickler(pickle.Unpickler):
     def __init__(self, buffer: io.BytesIO, shared: list[bytes]) -> None:
         super().__init__(buffer)
-        self._shared = shared
+        # Bound to the fork's payloads, not to this unpickler: its memo
+        # keeps the resolver, and a cycle would keep the whole fork alive.
+        self._resolve = functools.partial(_resolve, shared.__getitem__)
 
-    def persistent_load(self, pid: int) -> bytes:
-        return self._shared[pid]
+    def find_class(self, module: str, name: str) -> Any:
+        if name == "_resolve" and module == __name__:
+            return self._resolve
+        return super().find_class(module, name)
 
 
 class SimSnapshot:
@@ -129,7 +179,7 @@ class SimSnapshot:
                 label: str = "") -> "SimSnapshot":
         """Serialize ``roots`` (any picklable structure of model objects,
         conventionally a dict of named roots) into one shared-reference
-        blob.  Large immutable payloads are kept by reference in
+        blob.  Declared page payloads are kept by reference in
         ``shared`` rather than serialized — every fork aliases them.
         """
         buffer = io.BytesIO()

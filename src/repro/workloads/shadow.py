@@ -50,6 +50,9 @@ class Leg:
     failed operation leaves the time as it was and samples nothing.
     """
 
+    #: Page payloads every snapshot fork aliases (``repro.sim.snapshot``).
+    SNAPSHOT_PAYLOADS = ("shadow",)
+
     def __init__(self, driver, footprint: int) -> None:
         self.driver = driver
         self.footprint = footprint

@@ -47,3 +47,12 @@ def test_quickstart_reports_all_three_tiers(capsys, monkeypatch):
     assert "Baseline" in out
     assert "NVDC-Cached" in out
     assert "NVDC-Uncached" in out
+
+
+def test_power_failure_drill_recovers_every_flushed_page(capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["power_failure_drill.py"])
+    runpy.run_path(str(EXAMPLES_DIR / "power_failure_drill.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "REBOOT: 6/6 flushed pages recovered intact" in out.splitlines()

@@ -14,9 +14,11 @@ option:
 * **soak** — :func:`twin_from_zero` reruns the prefix plus the two twin
   legs; :func:`soak_from_zero` is the soak with that twin.
 * **aging** — :func:`aging_from_zero` is the rebuild loop the campaign
-  used to keep: a fresh prefix per shard, one suite per strategy, and
-  no epoch round trip (:class:`IdentityFork` stands in for the
-  campaign's ``SimSnapshot``).
+  used to keep: a fresh prefix per shard with its strategy set before
+  the fill (:func:`strategy_prefix`), one suite per strategy, and no
+  epoch round trip (:class:`IdentityFork` stands in for the campaign's
+  ``SimSnapshot``).  The campaign fills once and sets each fork's
+  strategy after the fill.
 
 Sanitizer violations follow one rule.  A run counts the violations its
 own suite holds after ``detach``; a forked suite already holds the
@@ -34,6 +36,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import sys
 import zlib
 from contextlib import contextmanager
 
@@ -46,16 +49,19 @@ import repro.fleet.shard as fleet_shard
 import repro.health.soak as soak
 import repro.recovery.explorer as explorer
 import repro.workloads.shadow as shadow
-from repro.aging.campaign import AgingConfig, AgingResult, run_aging
+from repro.aging.campaign import (AgingConfig, AgingResult, EpochLog,
+                                  run_aging)
 from repro.analysis.stats import order_statistic
 from repro.check.sanitizer import default_suite
 from repro.check.sanitizers import TimeSanitizer
 from repro.check.violations import SanitizerViolation
 from repro.cli import main
 from repro.health.soak import SoakResult, SoakRound, run_soak
+from repro.nand.ftl import FlashTranslationLayer
 from repro.recovery.explorer import RunOutcome
 from repro.report import render_report
 from repro.sim.trace import TraceRecord, Tracer, default_tracer, use_tracer
+from repro.units import us
 
 
 def emit_negative_time() -> None:
@@ -313,6 +319,15 @@ AGING_SMALL = AgingConfig(quick=True, shards=1, max_epochs=3,
 AGING_TWO_SHARDS = AgingConfig(
     quick=True, shards=2, max_epochs=1, strategies=("greedy",),
     footprint_pages=256, epoch_steps=512, gc_headroom=2)
+#: perfbench's ``aging`` campaign: every strategy forks the one fill.
+AGING_STRATEGIES = AgingConfig(
+    quick=True, shards=1, max_epochs=1, footprint_pages=256,
+    epoch_steps=512, gc_headroom=2)
+#: A footprint at which the three strategies' GC choices part ways
+#: (at 256 pages their shards end identical).
+AGING_LEVELING = AgingConfig(
+    quick=True, shards=1, max_epochs=1, footprint_pages=512,
+    epoch_steps=1024, gc_headroom=2)
 
 
 class IdentityFork:
@@ -330,6 +345,24 @@ class IdentityFork:
         return self.roots
 
 
+def strategy_prefix(config: AgingConfig, strategy: str, tracer: Tracer,
+                    ) -> tuple:
+    """Bring-up plus the fill with ``strategy`` set before the fill:
+    the per-strategy prefix the campaign used to build."""
+    system = campaign._build_system(config, tracer)
+    system.nand.ftl.set_victim_strategy(
+        strategy, static_period=config.static_level_period)
+    leg = shadow.Leg(system.driver, config.footprint)
+    t = round(us(1))
+    t = leg.seq_write(t, 0, EpochLog(epoch=0))
+    ftl = system.nand.ftl
+    low = max(FlashTranslationLayer.GC_LOW_WATER,
+              ftl.free_blocks - config.gc_headroom)
+    ftl.GC_LOW_WATER = low
+    ftl.GC_HIGH_WATER = low + 4
+    return system, leg, t
+
+
 def aging_from_zero(config: AgingConfig) -> AgingResult:
     """Every shard reruns bring-up and fill from zero under the
     strategy's one suite, and no epoch boundary round-trips."""
@@ -344,7 +377,7 @@ def aging_from_zero(config: AgingConfig) -> AgingResult:
                     for shard in range(config.shard_count):
                         outcome = campaign._shard_outcome(config, strategy,
                                                           shard)
-                        system, leg, t = campaign._strategy_prefix(
+                        system, leg, t = strategy_prefix(
                             config, strategy, tracer)
                         system.nand.reseed(campaign._campaign_seed(
                             config.seed, "media", shard))
@@ -363,16 +396,17 @@ def aging_from_zero(config: AgingConfig) -> AgingResult:
 @contextmanager
 def aging_harness(inject: str | None):
     """With ``inject``, a negative-time record at the end of each
-    strategy prefix (``"prefix"``) or before each epoch's fast-forward
-    (``"tail"``)."""
-    real_prefix = campaign._strategy_prefix
+    prefix, the campaign's and the from-zero ones (``"prefix"``), or
+    before each epoch's fast-forward (``"tail"``)."""
     real_forward = campaign._fast_forward
 
-    def strategy_prefix(*args):
-        out = real_prefix(*args)
-        if inject == "prefix":
-            emit_negative_time()
-        return out
+    def ends_with_injection(real_prefix):
+        def prefix(*args):
+            out = real_prefix(*args)
+            if inject == "prefix":
+                emit_negative_time()
+            return out
+        return prefix
 
     def fast_forward(*args):
         if inject == "tail":
@@ -380,7 +414,9 @@ def aging_harness(inject: str | None):
         return real_forward(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(campaign, "_strategy_prefix", strategy_prefix)
+        mp.setattr(campaign, "_prefix", ends_with_injection(campaign._prefix))
+        mp.setattr(sys.modules[__name__], "strategy_prefix",
+                   ends_with_injection(strategy_prefix))
         mp.setattr(campaign, "_fast_forward", fast_forward)
         yield
 
@@ -396,3 +432,43 @@ def test_aging_fork_equals_from_zero(config, inject, violations):
         want = aging_from_zero(config)
     assert render_report(got) == render_report(want)
     assert got.violations == want.violations == violations
+
+
+@pytest.mark.parametrize("inject,violations", [(None, 0), ("prefix", 3)],
+                         ids=["clean", "prefix"])
+def test_every_strategy_forks_the_one_fill(inject, violations):
+    """Each strategy's shard equals a shard whose strategy was set
+    before its own fill, and counts the one prefix's violation once."""
+    with aging_harness(inject):
+        got = run_aging(AGING_STRATEGIES)
+        want = aging_from_zero(AGING_STRATEGIES)
+    assert [s.strategy for s in got.shards] == list(
+        AGING_STRATEGIES.strategies)
+    assert render_report(got) == render_report(want)
+    assert got.violations == want.violations == violations
+
+
+def test_each_fork_levels_with_its_own_strategy():
+    """Where the strategies end differently, each fork still equals the
+    shard whose strategy (and static-leveling period) was set before
+    its own fill."""
+    with aging_harness(None):
+        got = run_aging(AGING_LEVELING)
+        want = aging_from_zero(AGING_LEVELING)
+    assert len({shard.waf_x1000 for shard in got.shards}) == 3
+    assert render_report(got) == render_report(want)
+
+
+def test_a_full_fill_never_collects():
+    """A fill of the whole logical space runs no GC pass and erases no
+    block, so no victim strategy can act on it: the campaign may set
+    the strategy after its one fill."""
+    config = AgingConfig(quick=True, footprint_pages=2048)
+    system, _leg, _t = campaign._prefix(config, default_tracer())
+    ftl = system.nand.ftl
+    assert config.footprint == ftl.logical_pages == 2048
+    # Every page reached the device once, or still sits in the DRAM cache.
+    assert ftl.mapped_pages + len(system.driver.page_to_slot) == 2048
+    assert ftl.stats.host_programs == ftl.mapped_pages
+    assert (ftl.stats.gc_invocations, ftl.stats.erases) == (0, 0)
+    assert ftl._static_level_due == ftl.static_level_period

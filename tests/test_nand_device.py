@@ -116,3 +116,98 @@ class TestCounters:
         die.read_page(0, 0, 0)
         die.erase_block(0, 0)
         assert (die.programs, die.reads, die.erases) == (1, 1, 1)
+
+
+class TestAddressErrors:
+    """Every media operation names the first bad coordinate exactly.
+
+    The block is checked before the page, and both before the block's
+    health: an out-of-range page on a bad block is a range error.
+    """
+
+    PLANES = SPEC.planes_per_die
+    BLOCKS = SPEC.blocks_per_plane
+    PAGES = SPEC.pages_per_block
+
+    @staticmethod
+    def block_error(plane, block):
+        return f"die 0: block address out of range ({plane},{block})"
+
+    @staticmethod
+    def page_error(page):
+        return f"die 0: page {page} out of range"
+
+    def page_cases(self):
+        """``(plane, block, page, message)`` for the page-addressed ops."""
+        return [
+            (self.PLANES, 0, 0, self.block_error(self.PLANES, 0)),
+            (-1, 0, 0, self.block_error(-1, 0)),
+            (0, self.BLOCKS, 0, self.block_error(0, self.BLOCKS)),
+            (0, -1, 0, self.block_error(0, -1)),
+            (0, 0, self.PAGES, self.page_error(self.PAGES)),
+            (0, 0, -1, self.page_error(-1)),
+            # Both out of range: the block wins.
+            (0, self.BLOCKS, self.PAGES, self.block_error(0, self.BLOCKS)),
+            (self.PLANES, 0, -1, self.block_error(self.PLANES, 0)),
+        ]
+
+    @staticmethod
+    def raises(call, message):
+        with pytest.raises(MediaError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("op", ["read_page", "read_oob", "page_state"])
+    def test_page_queries(self, die, op):
+        for plane, block, page, message in self.page_cases():
+            self.raises(lambda: getattr(die, op)(plane, block, page),
+                        message)
+
+    def test_program_page(self, die):
+        for plane, block, page, message in self.page_cases():
+            self.raises(lambda: die.program_page(plane, block, page, PAGE),
+                        message)
+            # A range error outranks a wrong-size payload.
+            self.raises(lambda: die.program_page(plane, block, page, b"x"),
+                        message)
+        self.raises(lambda: die.program_page(0, 0, 0, b"tiny"),
+                    f"program data must be exactly {SPEC.page_bytes} B, "
+                    "got 4")
+
+    def test_erase_block(self, die):
+        for plane, block in [(self.PLANES, 0), (-1, 0), (0, self.BLOCKS),
+                             (0, -1), (self.PLANES, self.BLOCKS)]:
+            self.raises(lambda: die.erase_block(plane, block),
+                        self.block_error(plane, block))
+
+    def test_block_queries(self, die):
+        for call in (die.block_info, die.is_bad, die.mark_bad):
+            self.raises(lambda: call(0, self.BLOCKS),
+                        self.block_error(0, self.BLOCKS))
+
+    def test_bad_block_reports_the_range_first(self, die):
+        die.mark_bad(0, 1)
+        self.raises(lambda: die.read_page(0, 1, self.PAGES),
+                    self.page_error(self.PAGES))
+        self.raises(lambda: die.program_page(0, 1, self.PAGES, PAGE),
+                    self.page_error(self.PAGES))
+        self.raises(lambda: die.read_page(0, 1, 0),
+                    "die 0: read from bad block (0,1)")
+        self.raises(lambda: die.program_page(0, 1, 0, PAGE),
+                    "die 0: program to bad block (0,1)")
+        self.raises(lambda: die.erase_block(0, 1),
+                    "die 0: erase of bad block (0,1)")
+
+    def test_errors_leave_no_block_entry(self, die):
+        """A refused address creates no bookkeeping for its block."""
+        die.read_page(0, 0, 0)
+        before = dict(die.blocks)
+        for plane, block, page, _ in self.page_cases():
+            for call in (die.read_page, die.read_oob, die.page_state):
+                with pytest.raises(MediaError):
+                    call(plane, block, page)
+            with pytest.raises(MediaError):
+                die.program_page(plane, block, page, PAGE)
+        with pytest.raises(MediaError):
+            die.program_page(0, 2, 0, b"tiny")
+        assert die.blocks == before
