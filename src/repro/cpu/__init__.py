@@ -13,14 +13,12 @@ The pieces of the x86 host that the NVDIMM-C software stack leans on:
 """
 
 from repro.cpu.cache import CPUCache, MemoryBackend
-from repro.cpu.cacheline import CacheLine
 from repro.cpu.core import CPUCore
 from repro.cpu.mmu import MMU, PageFault, PageTableEntry
 
 __all__ = [
     "CPUCache",
     "MemoryBackend",
-    "CacheLine",
     "CPUCore",
     "MMU",
     "PageFault",

@@ -13,12 +13,15 @@ This model is a write-back, write-allocate LRU cache over a pluggable
 memory backend.  It is *data-functional*: the coherence experiments
 assert byte-exact outcomes; timing belongs to ``repro.perf``.
 
-A load or store walks its line addresses once.  A hit is a dict lookup
-and an LRU bump; a miss reads the whole run of consecutive missing lines
-with one backend read, then inserts them one at a time in address order,
-each insertion counting one miss and evicting exactly as a per-line fill
-would.  That matters after a cachefill: ``invalidate_range`` leaves the
-page's 64 lines missing, and the next 4 KB load fills them with a single
+A cached line is a bare 64-byte ``bytearray`` in one LRU ``OrderedDict``
+keyed by line address, and the dirty lines are one ``set`` of line
+addresses.  A load or store walks its lines once, in runs.  A run of
+cached lines costs a dict lookup, an LRU bump and a copy per line, and
+its hits are counted from its length.  A run of consecutive missing
+lines is read with one backend read and inserted in address order, each
+line counting one miss and evicting exactly as a per-line fill would.
+That matters after a cachefill: ``invalidate_range`` leaves the page's
+64 lines missing, and the next 4 KB load fills them with a single
 backend read instead of 64.
 """
 
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Iterator, Protocol
 
-from repro.cpu.cacheline import CacheLine, line_addr, lines_covering
+from repro.cpu.cacheline import line_addr, lines_covering
 from repro.units import CACHELINE
 
 
@@ -70,7 +73,8 @@ class CPUCache:
             raise ValueError("cache needs at least one line")
         self.backend = backend
         self.capacity_lines = capacity_lines
-        self._lines: OrderedDict[int, CacheLine] = OrderedDict()
+        self._lines: OrderedDict[int, bytearray] = OrderedDict()
+        self._dirty: set[int] = set()
         self.stats = CacheStats()
 
     # -- loads/stores ------------------------------------------------------------
@@ -79,54 +83,78 @@ class CPUCache:
         """Read ``nbytes``, filling each run of missing lines with one
         backend read."""
         lines = self._lines
+        get = lines.get
+        bump = lines.move_to_end
         stats = self.stats
-        first = la = line_addr(addr)
-        last = line_addr(addr + nbytes - 1)
+        first = la = addr - addr % CACHELINE
+        end = addr + nbytes - 1
+        stop = end - end % CACHELINE + CACHELINE
         parts: list[bytearray] = []
-        while la <= last:
-            line = lines.get(la)
-            if line is None:
-                for line in self._fill_run(la, last):
-                    parts.append(line.data)
-                la = line.addr + CACHELINE
-                continue
-            stats.hits += 1
-            lines.move_to_end(la)
-            parts.append(line.data)
-            la += CACHELINE
+        append = parts.append
+        while la < stop:
+            run = la
+            for la in range(run, stop, CACHELINE):
+                line = get(la)
+                if line is None:
+                    break
+                bump(la)
+                append(line)
+            else:
+                la = stop
+            stats.hits += (la - run) // CACHELINE
+            if la < stop:
+                image = self._read_run(la, stop)
+                self._insert_run(la, image)
+                append(image)
+                la += len(image)
         start = addr - first
         return b"".join(parts)[start:start + nbytes]
 
     def store(self, addr: int, data: bytes) -> None:
         """Write ``data``, allocating lines on miss (write-allocate).
 
-        Each line of a missed run is written before the next one is
-        inserted, so a run longer than the cache evicts written lines,
-        never lines still waiting for their bytes.
+        Each line is written and dirty before the next one of the access
+        is inserted, so a run longer than the cache evicts written
+        lines, and writes them back, never lines still waiting for
+        their bytes.
         """
         lines = self._lines
+        get = lines.get
+        bump = lines.move_to_end
+        dirty = self._dirty
         stats = self.stats
-        la = line_addr(addr)
-        last = line_addr(addr + len(data) - 1)
-        head = addr - la          # where the first line's bytes start
-        pos = 0                   # the next byte of ``data`` to write
-        while la <= last:
-            line = lines.get(la)
-            run: Iterable[CacheLine]
-            if line is None:
-                run = self._fill_run(la, last)
+        size = len(data)
+        la = addr - addr % CACHELINE
+        end = addr + size - 1
+        stop = end - end % CACHELINE + CACHELINE
+        whole = la == addr and not size % CACHELINE   # no partial line
+        while la < stop:
+            run = la
+            for la in range(run, stop, CACHELINE):
+                line = get(la)
+                if line is None:
+                    break
+                bump(la)
+                offset = la - addr    # where the line's bytes are in data
+                if whole:
+                    line[:] = data[offset:offset + CACHELINE]
+                else:
+                    lo = max(-offset, 0)
+                    hi = min(size - offset, CACHELINE)
+                    line[lo:hi] = data[offset + lo:offset + hi]
             else:
-                stats.hits += 1
-                lines.move_to_end(la)
-                run = (line,)
-            for line in run:
-                piece = data[pos:pos + CACHELINE - head]
-                n = len(piece)
-                line.data[head:head + n] = piece
-                line.dirty = True
-                pos += n
-                head = 0
-            la = line.addr + CACHELINE
+                la = stop
+            stats.hits += (la - run) // CACHELINE
+            dirty.update(range(run, la, CACHELINE))
+            if la < stop:
+                image = self._read_run(la, stop)
+                offset = la - addr
+                lo = max(-offset, 0)
+                hi = min(size - offset, len(image))
+                image[lo:hi] = data[offset + lo:offset + hi]
+                dirty.update(range(la, la + len(image), CACHELINE))
+                self._insert_run(la, image)
+                la += len(image)
 
     # -- explicit coherence (the §V-B toolbox) --------------------------------------
 
@@ -135,18 +163,14 @@ class CPUCache:
         self.stats.clflushes += 1
         la = line_addr(addr)
         line = self._lines.pop(la, None)
-        if line is not None and line.dirty:
-            self.backend.mem_write(la, bytes(line.data))
-            self.stats.writebacks += 1
+        if line is not None and la in self._dirty:
+            self._write_back(la, line)
 
     def clwb(self, addr: int) -> None:
         """Write back the line but keep it cached (clean)."""
         la = line_addr(addr)
-        line = self._lines.get(la)
-        if line is not None and line.dirty:
-            self.backend.mem_write(la, bytes(line.data))
-            line.dirty = False
-            self.stats.writebacks += 1
+        if la in self._dirty:
+            self._write_back(la, self._lines[la])
 
     def invalidate(self, addr: int) -> None:
         """Drop the line *without* writing it back.
@@ -156,19 +180,26 @@ class CPUCache:
         would overwrite the fresh page with stale bytes.
         """
         self.stats.invalidates += 1
-        self._lines.pop(line_addr(addr), None)
+        la = line_addr(addr)
+        self._lines.pop(la, None)
+        self._dirty.discard(la)
 
     def flush_range(self, addr: int, nbytes: int) -> None:
         """clflush every line of a byte range (pre-writeback sweep)."""
-        for la in lines_covering(addr, nbytes):
-            self.clflush(la)
+        covered = lines_covering(addr, nbytes)
+        self.stats.clflushes += len(covered)
+        pop = self._lines.pop
+        for la in sorted(self._lines.keys() & covered):
+            line = pop(la)
+            if la in self._dirty:
+                self._write_back(la, line)
 
     def invalidate_range(self, addr: int, nbytes: int) -> None:
         """Invalidate every line of a byte range (post-cachefill sweep)."""
         covered = lines_covering(addr, nbytes)
-        pop = self._lines.pop
-        for la in covered:
-            pop(la, None)
+        for la in self._lines.keys() & covered:
+            del self._lines[la]
+        self._dirty.difference_update(covered)
         self.stats.invalidates += len(covered)
 
     def sfence(self) -> None:
@@ -186,45 +217,64 @@ class CPUCache:
         return line_addr(addr) in self._lines
 
     def is_dirty(self, addr: int) -> bool:
-        line = self._lines.get(line_addr(addr))
-        return bool(line and line.dirty)
+        return line_addr(addr) in self._dirty
+
+    def lines(self) -> Iterator[tuple[int, bytes, bool]]:
+        """Every cached line as ``(addr, bytes, dirty)``, least recently
+        used first."""
+        dirty = self._dirty
+        for la, line in self._lines.items():
+            yield la, bytes(line), la in dirty
 
     def __len__(self) -> int:
         return len(self._lines)
 
     # -- internals ------------------------------------------------------------------------
 
-    def _fill_run(self, first: int, last: int) -> Iterator[CacheLine]:
-        """Fill the run of missing lines that starts at ``first``.
+    def _read_run(self, first: int, stop: int) -> bytearray:
+        """The backend bytes of the run of missing lines at ``first``.
 
-        The run ends at the first line already cached or after ``last``.
-        One backend read covers it; each line then counts a miss, is
-        inserted (evicting past capacity) and is yielded before the next
-        one goes in.  Reading only missing lines keeps a cached (maybe
-        dirty) line from being replaced by stale backend bytes.  An
-        out-of-range run raises in that one read, before any of its
-        lines is filled; cache accesses are slot addresses inside the
-        reserved region, so no caller reaches it.
+        The run ends at the first line already cached or at ``stop``.
+        Reading only missing lines keeps a cached (maybe dirty) line
+        from being replaced by stale backend bytes.  Each line of the
+        run counts one miss.  An out-of-range run raises in the backend
+        read and a short read raises here, both before any line of the
+        run is inserted; cache accesses are slot addresses inside the
+        reserved region, and no backend returns fewer bytes than asked,
+        so no caller reaches either.
+        """
+        after = range(first + CACHELINE, stop, CACHELINE)
+        end = next(filter(self._lines.__contains__, after), stop)
+        nbytes = end - first
+        data = self.backend.mem_read(first, nbytes)
+        if len(data) < nbytes:
+            raise ValueError("cacheline payload must be 64 B")
+        self.stats.misses += nbytes // CACHELINE
+        return bytearray(data[:nbytes])
+
+    def _insert_run(self, first: int, image: bytearray) -> None:
+        """Insert the run's lines in address order, evicting past capacity.
+
+        The lines that fit in the free capacity go in without a test;
+        each one after them evicts the least recently used line, which
+        may be a line this run inserted.
         """
         lines = self._lines
-        stop = first + CACHELINE
-        while stop <= last and stop not in lines:
-            stop += CACHELINE
-        data = bytearray(self.backend.mem_read(first, stop - first))
-        stats = self.stats
-        capacity = self.capacity_lines
-        for la in range(first, stop, CACHELINE):
-            stats.misses += 1
-            offset = la - first
-            line = CacheLine(addr=la, data=data[offset:offset + CACHELINE])
-            lines[la] = line
-            if len(lines) > capacity:
-                self._evict_lru()
-            yield line
+        nbytes = len(image)
+        free = (self.capacity_lines - len(lines)) * CACHELINE
+        for offset in range(0, min(free, nbytes), CACHELINE):
+            lines[first + offset] = image[offset:offset + CACHELINE]
+        for offset in range(free, nbytes, CACHELINE):
+            lines[first + offset] = image[offset:offset + CACHELINE]
+            self._evict_lru()
 
     def _evict_lru(self) -> None:
         la, line = self._lines.popitem(last=False)
         self.stats.evictions += 1
-        if line.dirty:
-            self.backend.mem_write(la, bytes(line.data))
-            self.stats.writebacks += 1
+        if la in self._dirty:
+            self._write_back(la, line)
+
+    def _write_back(self, la: int, line: bytearray) -> None:
+        self._dirty.remove(la)
+        self.backend.mem_write(la, bytes(line))
+        self.stats.writebacks += 1

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.ddr.bus import SharedBus
 from repro.ddr.device import DRAMDevice
 from repro.ddr.imc import IntegratedMemoryController
@@ -61,9 +59,14 @@ def run_stream_validation(iterations: int = 3,
     windows.  Everything is checked against a NumPy reference.
     ``iterations`` below 1 raises :class:`~repro.errors.ConfigError`:
     a run that checks nothing cannot come out clean.
+
+    NumPy is imported here, so importing :mod:`repro` does not load it:
+    STREAM validation is the only code that needs it.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     engine = Engine()
     device = DRAMDevice(spec, capacity_bytes=64 * 1024 * 1024)

@@ -871,3 +871,28 @@ def test_out_of_range_backdoor_access_matches_oracle():
             with pytest.raises(ProtocolError, match="out of range"):
                 call()
         assert device.peek(mb(1), 0) == b""
+
+
+def test_backdoor_edge_cases_match_oracle():
+    """Zero and negative lengths, both ends of the address space and a
+    capacity that ends mid-row give the oracle's bytes, rows and errors."""
+    capacity = mb(1) + 100
+    new, old = DRAMDevice(SPEC, capacity), OracleDRAM(SPEC, capacity)
+
+    def outcome(call):
+        try:
+            return call()
+        except ProtocolError as exc:
+            return str(exc)
+
+    addrs = (-5, -1, 0, 8190, mb(1) - 1, mb(1) + 50, capacity - 1, capacity,
+             capacity + 10)
+    for addr in addrs:
+        for nbytes in (-1, 0, 1, 2, 60, 8192 + 10):
+            assert (outcome(lambda: new.peek(addr, nbytes))
+                    == outcome(lambda: old.peek(addr, nbytes))), (addr, nbytes)
+            data = bytes([addr % 251 + 1]) * max(nbytes, 0)
+            assert (outcome(lambda: new.poke(addr, data))
+                    == outcome(lambda: old.poke(addr, data))), (addr, nbytes)
+            assert new._rows == old._rows
+    assert new.peek(capacity, -1) == new.peek(-1, 0) == b""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu.cache import CPUCache
-from repro.cpu.cacheline import CacheLine, line_addr, lines_covering
+from repro.cpu.cacheline import line_addr, lines_covering
 from repro.units import CACHELINE
 
 
@@ -26,10 +26,6 @@ class RAM:
 
 
 class TestCacheline:
-    def test_unaligned_rejected(self):
-        with pytest.raises(ValueError):
-            CacheLine(addr=5)
-
     def test_line_addr(self):
         assert line_addr(0) == 0
         assert line_addr(63) == 0
@@ -171,6 +167,16 @@ class TestRunReads:
         assert cache.load(0, 4096) == bytes(range(256)) * 16
         assert ram.reads - reads == 1
         assert cache.stats.misses - misses == 64
+
+    def test_short_read_raises_before_inserting(self):
+        class ShortRAM(RAM):
+            def mem_read(self, addr, nbytes):
+                return super().mem_read(addr, nbytes)[:-1]
+
+        cache = CPUCache(ShortRAM())
+        with pytest.raises(ValueError, match="cacheline payload must be 64 B"):
+            cache.load(0, 256)
+        assert len(cache) == 0
 
     def test_cached_line_splits_the_run(self):
         ram, cache = self._invalidated_page()

@@ -2,18 +2,20 @@
 
 ``CPUCache`` used to fetch every line of a load or store through
 ``_get_line``: one backend read per missed line, and a ``CacheLine``
-method call per line for the bytes.  The live cache walks an access
-once and fills each run of consecutive missing lines with one backend
-read.  ``CPUCache`` and ``CacheLine`` below are the replaced code, kept
-verbatim as the reference oracle.
+object with method calls per line for the bytes.  The live cache keeps
+each line as a bare ``bytearray`` with one set of dirty addresses,
+walks an access once in runs and fills each run of consecutive missing
+lines with one backend read.  ``CPUCache`` and ``CacheLine`` below are
+the replaced code, kept verbatim as the reference oracle.
 
 A hypothesis property drives both caches through one drawn sequence of
 loads, stores and coherence operations over a recording backend seeded
 with random bytes, at capacities small enough that one access evicts
 lines it filled itself.  After every operation it requires equal return
 values, ``CacheStats``, cached lines (address, bytes, dirty bit, in LRU
-order), backend bytes, the ``mem_write`` log and the line addresses the
-``mem_read`` calls covered, in order.
+order; the live cache's through ``lines()``), backend bytes, the
+``mem_write`` log and the line addresses the ``mem_read`` calls
+covered, in order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import random
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import cache as live
@@ -244,16 +246,38 @@ def _apply(cache, op):
 
 
 def _state(cache) -> tuple:
-    lines = []
-    for la, line in cache._lines.items():
-        assert line.addr == la and len(line.data) == CACHELINE
-        lines.append((la, bytes(line.data), line.dirty))
+    if isinstance(cache, CPUCache):
+        lines = []
+        for la, line in cache._lines.items():
+            assert line.addr == la and len(line.data) == CACHELINE
+            lines.append((la, bytes(line.data), line.dirty))
+    else:
+        lines = list(cache.lines())
+        for la, data, _ in lines:
+            assert la % CACHELINE == 0 and len(data) == CACHELINE
     backend = cache.backend
     return (asdict(cache.stats), lines, bytes(backend.data),
             backend.writes, backend.read_lines)
 
 
 @settings(max_examples=400, deadline=None)
+# The second line's fill evicts the first, which the store just wrote:
+# it must be dirty by then, and its eviction must write it back.
+@example(ops=[("load", (1, 0)), ("store", (63, 2), 0)], capacity=1, seed=0)
+# A zero-length store at an unaligned address dirties its one line.
+@example(ops=[("store", (70, 0), 0), ("clflush", 70)], capacity=2, seed=0)
+# A line-aligned multi-line store longer than the cache.
+@example(ops=[("load", (0, 64)), ("store", (128, 320), 1), ("drain_all",)],
+         capacity=3, seed=0)
+# A line invalidated while dirty comes back clean: its later eviction
+# writes nothing back.
+@example(ops=[("store", (64, 64), 2), ("invalidate", 64), ("load", (64, 1)),
+              ("load", (128, 64))], capacity=1, seed=0)
+@example(ops=[("store", (0, 128), 5), ("invalidate_range", (0, 128)),
+              ("load", (0, 128)), ("load", (128, 128))], capacity=2, seed=0)
+# A range flush writes its dirty lines back in address order, not LRU order.
+@example(ops=[("store", (64, 64), 3), ("store", (0, 64), 4),
+              ("flush_range", (0, 128))], capacity=4, seed=0)
 @given(ops=st.lists(OPS, max_size=30), capacity=st.integers(1, 12),
        seed=st.integers(0, 2**16))
 def test_cache_matches_the_per_line_oracle(ops, capacity, seed):

@@ -1,7 +1,13 @@
 """Tests for file copy, STREAM validation, TPC-H, mixed load."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.device.nvdimmc import NVDIMMCSystem
 from repro.workloads.filecopy import run_file_copy
 from repro.workloads.mixed_load import run_mixed_load, _check_record, \
@@ -36,7 +42,34 @@ class TestFileCopy:
         assert 40 <= result.floor_mb_s <= 100
 
 
+#: Entry points whose import must not load numpy: only a STREAM
+#: validation run imports it.
+NUMPY_FREE_MODULES = (
+    "repro", "repro.cli", "repro.check.cli", "repro.experiments.runner",
+    "repro.aging.campaign", "repro.fleet.frontend", "repro.fleet.chaos",
+    "repro.recovery.explorer", "repro.health.soak", "repro.faults.campaign",
+    "repro.workloads.mixed_load",
+)
+
+
 class TestStreamValidation:
+    def test_only_stream_validation_imports_numpy(self):
+        """A fresh interpreter imports every other entry point without
+        loading numpy, which STREAM validation imports when it runs."""
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_dir, env.get("PYTHONPATH")]))
+        code = ("import importlib, sys\n"
+                f"for name in {NUMPY_FREE_MODULES!r}:\n"
+                "    importlib.import_module(name)\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.partition('.')[0] == 'numpy'))\n")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, env=env,
+                                check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_aging_run_is_clean(self):
         """§VII-A: no corruption, no collisions, detector perfect."""
         result = run_stream_validation(iterations=2)
