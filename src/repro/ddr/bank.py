@@ -15,6 +15,7 @@ reproduction needs to demonstrate.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.ddr.spec import DDR4Spec
@@ -28,6 +29,11 @@ class BankState(enum.Enum):
     ACTIVE = "active"             # a row is open in the sense amps
     REFRESHING = "refreshing"     # inside tRFC (all-bank, device-wide)
 
+
+# Member aliases for identity tests (why: see repro.ddr.commands).
+_IDLE = BankState.IDLE
+_ACTIVE = BankState.ACTIVE
+_REFRESHING = BankState.REFRESHING
 
 NEVER = -10**18  # sentinel "long ago" timestamp
 
@@ -46,24 +52,23 @@ class Bank:
     last_write_end_ps: int = NEVER
     stats: dict[str, int] = field(default_factory=lambda: {
         "activates": 0, "reads": 0, "writes": 0, "precharges": 0,
-        "row_hits": 0, "row_misses": 0,
     })
 
     # -- command legality ---------------------------------------------------
 
     def activate(self, row: int, now_ps: int) -> None:
         """Open ``row``; bank must be idle and past tRP since precharge."""
-        if self.state is BankState.REFRESHING:
+        if self.state is _REFRESHING:
             raise ProtocolError(
                 f"bank {self.index}: ACT during refresh (tRFC window)")
-        if self.state is BankState.ACTIVE:
+        if self.state is _ACTIVE:
             raise ProtocolError(
                 f"bank {self.index}: ACT while row {self.open_row} is open")
         if now_ps < self.last_pre_ps + self.spec.trp_ps:
             raise TimingViolationError(
                 f"bank {self.index}: ACT violates tRP "
                 f"({now_ps} < {self.last_pre_ps + self.spec.trp_ps})")
-        self.state = BankState.ACTIVE
+        self.state = _ACTIVE
         self.open_row = row
         self.last_act_ps = now_ps
         self.stats["activates"] += 1
@@ -88,10 +93,10 @@ class Bank:
 
     def precharge(self, now_ps: int) -> None:
         """Close the open row (no-op when already idle, as on silicon)."""
-        if self.state is BankState.REFRESHING:
+        if self.state is _REFRESHING:
             raise ProtocolError(
                 f"bank {self.index}: PRE during refresh (tRFC window)")
-        if self.state is BankState.IDLE:
+        if self.state is _IDLE:
             return
         if now_ps < self.last_act_ps + self.spec.tras_ps:
             raise TimingViolationError(
@@ -99,42 +104,76 @@ class Bank:
         if now_ps < self.last_write_end_ps + self.spec.twr_ps:
             raise TimingViolationError(
                 f"bank {self.index}: PRE violates tWR (write recovery)")
-        self.state = BankState.IDLE
+        self.state = _IDLE
         self.open_row = -1
         self.last_pre_ps = now_ps
         self.stats["precharges"] += 1
 
+    def auto_precharge(self, now_ps: int) -> None:
+        """RDA/WRA: the bank closes itself behind the burst (not counted
+        in ``precharges``)."""
+        self.state = _IDLE
+        self.open_row = -1
+        self.last_pre_ps = now_ps
+
     def begin_refresh(self, now_ps: int) -> None:
-        """Enter the refresh cycle; requires the bank to be precharged.
+        """Enter the refresh cycle; requires the bank to be precharged."""
+        Bank.begin_refresh_all((self,), now_ps)
+
+    def end_refresh(self, now_ps: int) -> None:
+        """Leave the refresh cycle (called tRFC_device after REF)."""
+        if self.state is not _REFRESHING:
+            raise ProtocolError(f"bank {self.index}: end_refresh while idle")
+        Bank.end_refresh_all((self,), now_ps)
+
+    # -- all-bank transitions: one loop per command ---------------------------
+
+    @staticmethod
+    def precharge_all(banks: Sequence[Bank], now_ps: int) -> None:
+        """PREA: precharge each bank in order.
+
+        An idle bank is skipped without a call, as :meth:`precharge`
+        would return at once for it; a refreshing one still raises.
+        """
+        for bank in banks:
+            if bank.state is not _IDLE:
+                bank.precharge(now_ps)
+
+    @staticmethod
+    def begin_refresh_all(banks: Sequence[Bank], now_ps: int) -> None:
+        """REF: every bank enters the refresh cycle, in order.
 
         DDR4 has no per-bank refresh, so the memory controller must have
         issued PREA first (§III-B) — an ACT-to-REF here is a protocol
-        error the simulator reports.
+        error the simulator reports.  The banks before the open one are
+        left refreshing.
         """
-        if self.state is BankState.ACTIVE:
-            raise ProtocolError(
-                f"bank {self.index}: REF while row {self.open_row} open "
-                "(controller must PREA before REFRESH)")
-        self.state = BankState.REFRESHING
+        for bank in banks:
+            if bank.state is _ACTIVE:
+                raise ProtocolError(
+                    f"bank {bank.index}: REF while row {bank.open_row} open "
+                    "(controller must PREA before REFRESH)")
+            bank.state = _REFRESHING
 
-    def end_refresh(self, now_ps: int) -> None:
-        """Leave the refresh cycle (called tRFC_device after REF).
+    @staticmethod
+    def end_refresh_all(banks: Sequence[Bank], now_ps: int) -> None:
+        """Every refreshing bank leaves the refresh cycle; others stay.
 
         JEDEC allows ACT immediately once tRFC elapses (the precharge is
         internal to the refresh), so the tRP reference is backdated.
         """
-        if self.state is not BankState.REFRESHING:
-            raise ProtocolError(f"bank {self.index}: end_refresh while idle")
-        self.state = BankState.IDLE
-        self.last_pre_ps = now_ps - self.spec.trp_ps
+        for bank in banks:
+            if bank.state is _REFRESHING:
+                bank.state = _IDLE
+                bank.last_pre_ps = now_ps - bank.spec.trp_ps
 
     # -- helpers -------------------------------------------------------------
 
     def _check_column_access(self, row: int, now_ps: int, what: str) -> None:
-        if self.state is BankState.REFRESHING:
+        if self.state is _REFRESHING:
             raise ProtocolError(
                 f"bank {self.index}: {what} during refresh (tRFC window)")
-        if self.state is not BankState.ACTIVE:
+        if self.state is not _ACTIVE:
             raise ProtocolError(
                 f"bank {self.index}: {what} to precharged bank "
                 "(row was closed under the requester — Fig. 2a C2)")
@@ -148,5 +187,3 @@ class Bank:
         if now_ps < self.last_rdwr_ps + self.spec.tccd_ps:
             raise TimingViolationError(
                 f"bank {self.index}: {what} violates tCCD")
-        if self.open_row == row:
-            self.stats["row_hits"] += 1

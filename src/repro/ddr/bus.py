@@ -66,20 +66,27 @@ class Collision:
 
 Snooper = Callable[[int, CAState], None]
 
+# Member aliases for identity tests (why: see repro.ddr.commands).
+_RD = CommandKind.RD
+_RDA = CommandKind.RDA
+_REF = CommandKind.REF
+
 
 class _Lane:
     """The live reservations of one bus (CA or DQ), sorted by start time.
 
     ``starts`` holds the sorted start times and ``entries`` the matching
-    ``(seq, reservation)`` pairs, ``seq`` being the order in which the
-    bus made them.  No reservation in the lane is longer than
-    ``longest``, so every one that can overlap ``[start, end)`` starts
-    inside ``(start - longest, end)``: two bisections find them all.
+    ``(seq, master, start_ps, end_ps, command)`` tuples, ``seq`` being
+    the order in which the bus made them; a :class:`Reservation` is
+    built from one only for a :class:`Collision`.  No reservation in the
+    lane is longer than ``longest``, so every one that can overlap
+    ``[start, end)`` starts inside ``(start - longest, end)``: two
+    bisections find them all.
     """
 
     def __init__(self) -> None:
         self.starts: list[int] = []
-        self.entries: list[tuple[int, Reservation]] = []
+        self.entries: list[tuple[int, str, int, int, Command]] = []
         self.longest = 0
 
     def __len__(self) -> int:
@@ -139,16 +146,18 @@ class SharedBus:
         """
         self.device.maybe_complete_refresh(now_ps)
 
-        ca_end = now_ps + self.spec.clock_ps
+        spec = self.spec
+        ca_end = now_ps + spec.clock_ps
         self._reserve(self._ca, "CA", master, command, now_ps, ca_end)
 
         dq_start = dq_end = None
-        if command.kind in DATA_COMMANDS:
-            if command.kind in (CommandKind.RD, CommandKind.RDA):
-                dq_start = now_ps + self.spec.tcl_ps
+        kind = command.kind
+        if kind in DATA_COMMANDS:
+            if kind is _RD or kind is _RDA:
+                dq_start = now_ps + spec.tcl_ps
             else:
-                dq_start = now_ps + self.spec.cwl_ps
-            dq_end = dq_start + self.spec.burst_time_ps
+                dq_start = now_ps + spec.cwl_ps
+            dq_end = dq_start + spec.burst_time_ps
             self._reserve(self._dq, "DQ", master, command, dq_start, dq_end)
 
         self.commands_issued += 1
@@ -187,7 +196,7 @@ class SharedBus:
         if dq_start is not None:
             fields["dq_start"] = dq_start
             fields["dq_end"] = dq_end
-        if command.kind is CommandKind.REF:
+        if command.kind is _REF:
             fields["win_start"] = now_ps + self.spec.trfc_device_ps
             fields["win_end"] = now_ps + self.spec.trfc_ps
         self.tracer.emit(now_ps, "ddr.cmd", command, **fields)
@@ -199,32 +208,36 @@ class SharedBus:
         hi = bisect_left(starts, end_ps, lo)
         if lo < hi:
             overlapped = sorted(entry for entry in lane.entries[lo:hi]
-                                if entry[1].end_ps > start_ps)
-            for _seq, existing in overlapped:
-                if existing.master != master:
-                    collision = Collision(bus_name, start_ps, existing,
-                                          master, command)
+                                if entry[3] > start_ps)
+            for _seq, other, other_start, other_end, other_command in (
+                    overlapped):
+                if other != master:
+                    collision = Collision(
+                        bus_name, start_ps,
+                        Reservation(other, other_start, other_end,
+                                    other_command),
+                        master, command)
                     self.collisions.append(collision)
                     self.tracer.emit(start_ps, "ddr.collision",
                                      f"{bus_name} collision",
                                      owner=self.trace_owner,
-                                     first=existing.master, second=master)
+                                     first=other, second=master)
                     if self.raise_on_collision:
                         raise BusCollisionError(
                             f"{bus_name} bus collision at {start_ps} ps: "
-                            f"{existing.master} ({existing.command}) vs "
+                            f"{other} ({other_command}) vs "
                             f"{master} ({command})",
                             time_ps=start_ps,
-                            masters=(existing.master, master))
+                            masters=(other, master))
                 else:
                     raise ProtocolError(
                         f"{master} overlapped its own {bus_name} slot at "
-                        f"{start_ps} ps ({existing.command} vs {command})")
+                        f"{start_ps} ps ({other_command} vs {command})")
         self._seq += 1
         at = bisect_right(starts, start_ps, lo)
         starts.insert(at, start_ps)
-        lane.entries.insert(at, (self._seq, Reservation(
-            master, start_ps, end_ps, command)))
+        lane.entries.insert(at, (self._seq, master, start_ps, end_ps,
+                                 command))
         if end_ps - start_ps > lane.longest:
             lane.longest = end_ps - start_ps
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ProtocolError
 
@@ -40,6 +41,13 @@ class CommandKind(enum.Enum):
     SRX = "self_refresh_exit"
     MRS = "mode_register_set"
     ZQCL = "zq_calibration"
+
+
+# The per-command path (bus, device, controller, bank) tests kinds and
+# bank states by identity against module-level aliases of the members,
+# such as ``_WR = CommandKind.WR``: on Python 3.11 reading a member off
+# an enum class goes through the enum metaclass and costs ~15x reading a
+# module global.
 
 
 @dataclass(frozen=True)
@@ -154,13 +162,14 @@ def classify(state: CAState) -> CommandKind:
     return table[key]
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A decoded DDR4 command with its address payload.
 
     ``bank`` is a flat bank index (group * banks_per_group + bank),
     ``row``/``column`` are used by ACT/RD/WR respectively.  Non-addressed
-    commands (REF, PREA, ...) leave them at -1.
+    commands (REF, PREA, ...) leave them at -1.  A named tuple: the bus
+    and the device unpack it, and building one costs one tuple, not a
+    frozen instance's field-by-field set-up.
     """
 
     kind: CommandKind
@@ -187,6 +196,3 @@ class Command:
 #: Commands that transfer data on the DQ bus.
 DATA_COMMANDS = frozenset({CommandKind.RD, CommandKind.RDA,
                            CommandKind.WR, CommandKind.WRA})
-
-#: Commands that require *all* banks idle when issued.
-ALL_BANK_COMMANDS = frozenset({CommandKind.REF, CommandKind.SRE})

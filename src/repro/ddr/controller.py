@@ -16,9 +16,14 @@ from __future__ import annotations
 
 from repro.ddr.bus import SharedBus
 from repro.ddr.commands import Command, CommandKind
-from repro.ddr.device import AddressParts
 from repro.ddr.spec import DDR4Spec
 from repro.errors import ProtocolError
+
+# Member aliases: every burst builds a command (see repro.ddr.commands).
+_RD = CommandKind.RD
+_WR = CommandKind.WR
+_ACT = CommandKind.ACT
+_PRE = CommandKind.PRE
 
 
 class DDR4Controller:
@@ -43,23 +48,25 @@ class DDR4Controller:
         """Read ``nbytes`` beginning at ``addr``; returns (data, end_ps).
 
         ``end_ps`` is the time the last data beat lands (tCL + burst after
-        the final RD command).
+        the final RD command).  Each burst's address is split once.
         """
         self._check_alignment(addr, nbytes)
+        spec = self.spec
+        burst = spec.burst_bytes
+        split = self.bus.device._split
+        issue = self.bus.issue
         t = max(start_ps, self.busy_until_ps)
         out = bytearray()
         last_cmd_ps = t
-        for burst_addr in self._bursts(addr, nbytes):
-            parts = self.bus.device.decode(burst_addr)
-            t = self._prepare_row(parts, t)
-            column = parts.column_byte // self.spec.burst_bytes
-            data = self.bus.issue(self.name, Command(
-                CommandKind.RD, bank=parts.bank, row=parts.row,
-                column=column), t)
+        for burst_addr in range(addr, addr + nbytes, burst):
+            (bank, row), column_byte = split(burst_addr)
+            t = self._prepare_row(bank, row, t)
+            data = issue(self.name, Command(_RD, bank, row,
+                                            column_byte // burst), t)
             out.extend(data or b"")
             last_cmd_ps = t
-            t += self.spec.tccd_ps
-        end_ps = last_cmd_ps + self.spec.tcl_ps + self.spec.burst_time_ps
+            t += spec.tccd_ps
+        end_ps = last_cmd_ps + spec.tcl_ps + spec.burst_time_ps
         self.busy_until_ps = max(self.busy_until_ps, t)
         self.bytes_read += nbytes
         return bytes(out), end_ps
@@ -67,22 +74,22 @@ class DDR4Controller:
     def write(self, addr: int, data: bytes, start_ps: int) -> int:
         """Write ``data`` at ``addr``; returns the end-of-data time."""
         self._check_alignment(addr, len(data))
+        spec = self.spec
+        burst = spec.burst_bytes
+        split = self.bus.device._split
+        issue = self.bus.issue
         t = max(start_ps, self.busy_until_ps)
         last_cmd_ps = t
-        burst = self.spec.burst_bytes
-        for i, burst_addr in enumerate(self._bursts(addr, len(data))):
-            parts = self.bus.device.decode(burst_addr)
-            t = self._prepare_row(parts, t)
-            column = parts.column_byte // burst
-            chunk = data[i * burst:(i + 1) * burst]
-            self.bus.issue(self.name, Command(
-                CommandKind.WR, bank=parts.bank, row=parts.row,
-                column=column), t, data=chunk)
-            self._bank_write_end_ps[parts.bank] = (
-                t + self.spec.cwl_ps + self.spec.burst_time_ps)
+        for offset in range(0, len(data), burst):
+            (bank, row), column_byte = split(addr + offset)
+            t = self._prepare_row(bank, row, t)
+            issue(self.name, Command(_WR, bank, row, column_byte // burst), t,
+                  data=data[offset:offset + burst])
+            self._bank_write_end_ps[bank] = (
+                t + spec.cwl_ps + spec.burst_time_ps)
             last_cmd_ps = t
-            t += self.spec.tccd_ps
-        end_ps = last_cmd_ps + self.spec.cwl_ps + self.spec.burst_time_ps
+            t += spec.tccd_ps
+        end_ps = last_cmd_ps + spec.cwl_ps + spec.burst_time_ps
         self.busy_until_ps = max(self.busy_until_ps, t)
         self.bytes_written += len(data)
         return end_ps
@@ -126,10 +133,6 @@ class DDR4Controller:
                 f"{self.name}: transfer must be whole bursts of {burst} B "
                 f"(addr={addr:#x}, nbytes={nbytes})")
 
-    def _bursts(self, addr: int, nbytes: int) -> list[int]:
-        burst = self.spec.burst_bytes
-        return [addr + i * burst for i in range(nbytes // burst)]
-
     def _earliest_prea(self, t: int) -> int:
         earliest = t
         for bank, act_ps in self._bank_act_ps.items():
@@ -140,28 +143,27 @@ class DDR4Controller:
                     earliest = max(earliest, write_end + self.spec.twr_ps)
         return earliest
 
-    def _prepare_row(self, parts: AddressParts, t: int) -> int:
-        """Ensure the burst's row is open; returns the command-issue time."""
-        current = self.open_rows.get(parts.bank, -1)
-        if current == parts.row:
+    def _prepare_row(self, bank: int, row: int, t: int) -> int:
+        """Ensure ``row`` is open in ``bank``; returns the command-issue
+        time."""
+        current = self.open_rows.get(bank, -1)
+        if current == row:
             return t
         if current >= 0:
-            act_ps = self._bank_act_ps.get(parts.bank, -10**18)
+            act_ps = self._bank_act_ps.get(bank, -10**18)
             pre_t = max(t, act_ps + self.spec.tras_ps)
-            write_end = self._bank_write_end_ps.get(parts.bank)
+            write_end = self._bank_write_end_ps.get(bank)
             if write_end is not None:
                 pre_t = max(pre_t, write_end + self.spec.twr_ps)
-            self.bus.issue(self.name, Command(
-                CommandKind.PRE, bank=parts.bank), pre_t)
+            self.bus.issue(self.name, Command(_PRE, bank), pre_t)
             t = pre_t + self.spec.trp_ps
         # tFAW pacing: defer the fifth ACT of any rolling window.
         if len(self._recent_acts) == 4:
             t = max(t, self._recent_acts[0] + self.spec.tfaw_ps)
-        self.bus.issue(self.name, Command(
-            CommandKind.ACT, bank=parts.bank, row=parts.row), t)
+        self.bus.issue(self.name, Command(_ACT, bank, row), t)
         self._recent_acts.append(t)
         if len(self._recent_acts) > 4:
             self._recent_acts.pop(0)
-        self.open_rows[parts.bank] = parts.row
-        self._bank_act_ps[parts.bank] = t
+        self.open_rows[bank] = row
+        self._bank_act_ps[bank] = t
         return t + self.spec.trcd_ps

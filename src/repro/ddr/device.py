@@ -17,8 +17,25 @@ from dataclasses import dataclass
 from repro.ddr.bank import Bank, BankState
 from repro.ddr.commands import Command, CommandKind
 from repro.ddr.spec import DDR4Spec
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, TimingViolationError
 from repro.sim.snapshot import SnapshotMixin
+
+# Member aliases for identity tests (why: see repro.ddr.commands).
+_WR = CommandKind.WR
+_WRA = CommandKind.WRA
+_ACT = CommandKind.ACT
+_RD = CommandKind.RD
+_RDA = CommandKind.RDA
+_PRE = CommandKind.PRE
+_PREA = CommandKind.PREA
+_REF = CommandKind.REF
+_DES = CommandKind.DES
+_NOP = CommandKind.NOP
+_ZQCL = CommandKind.ZQCL
+_MRS = CommandKind.MRS
+_SRE = CommandKind.SRE
+_SRX = CommandKind.SRX
+_REFRESHING = BankState.REFRESHING
 
 
 @dataclass
@@ -79,76 +96,71 @@ class DRAMDevice(SnapshotMixin):
         """Apply a command; returns read data for RD/RDA.
 
         The caller (bus) has already arbitrated the command slot; this
-        method enforces bank-level legality and timing.
+        method enforces bank-level legality and timing.  Kinds are tested
+        most frequent first: WR, ACT, RD, PRE, PREA, REF, then the rest.
         """
-        kind = command.kind
-        if self.in_self_refresh and kind is not CommandKind.SRX:
+        kind, bank_index, row, column = command
+        if self.in_self_refresh and kind is not _SRX:
             raise ProtocolError(
                 f"{self.name}: {kind.name} while in self-refresh")
 
-        if kind in (CommandKind.DES, CommandKind.NOP, CommandKind.ZQCL,
-                    CommandKind.MRS):
-            return None
-        if kind is CommandKind.ACT:
-            self._check_tfaw(now_ps)
-            self.banks[command.bank].activate(command.row, now_ps)
-            self._act_history.append(now_ps)
-            if len(self._act_history) > 4:
-                self._act_history.pop(0)
-            return None
-        if kind in (CommandKind.RD, CommandKind.RDA):
-            bank = self.banks[command.bank]
-            bank.read(command.row, now_ps)
-            out = self._burst_read(command)
-            if kind is CommandKind.RDA:
-                bank.state = BankState.IDLE
-                bank.open_row = -1
-                bank.last_pre_ps = now_ps
-            return out
-        if kind in (CommandKind.WR, CommandKind.WRA):
-            if data is None or len(data) != self.spec.burst_bytes:
+        if kind is _WR or kind is _WRA:
+            burst = self.spec.burst_bytes
+            if data is None or len(data) != burst:
                 raise ProtocolError(
                     f"{self.name}: WR needs exactly one burst of "
-                    f"{self.spec.burst_bytes} bytes")
-            bank = self.banks[command.bank]
-            bank.write(command.row, now_ps)
-            self._burst_write(command, data)
-            if kind is CommandKind.WRA:
-                bank.state = BankState.IDLE
-                bank.open_row = -1
-                bank.last_pre_ps = now_ps
+                    f"{burst} bytes")
+            bank = self.banks[bank_index]
+            bank.write(row, now_ps)
+            start = column * burst
+            self._row_buffer(bank_index, row)[start:start + burst] = data
+            if kind is _WRA:
+                bank.auto_precharge(now_ps)
             return None
-        if kind is CommandKind.PRE:
-            self.banks[command.bank].precharge(now_ps)
+        if kind is _ACT:
+            history = self._act_history
+            if (len(history) == 4
+                    and now_ps - history[0] < self.spec.tfaw_ps):
+                raise TimingViolationError(
+                    f"{self.name}: fifth ACT within tFAW "
+                    f"({now_ps - history[0]} ps since the fourth-"
+                    f"last, tFAW={self.spec.tfaw_ps} ps)")
+            self.banks[bank_index].activate(row, now_ps)
+            history.append(now_ps)
+            if len(history) > 4:
+                history.pop(0)
             return None
-        if kind is CommandKind.PREA:
-            for bank in self.banks:
-                bank.precharge(now_ps)
+        if kind is _RD or kind is _RDA:
+            bank = self.banks[bank_index]
+            bank.read(row, now_ps)
+            burst = self.spec.burst_bytes
+            start = column * burst
+            out = bytes(self._row_buffer(bank_index, row)[start:start + burst])
+            if kind is _RDA:
+                bank.auto_precharge(now_ps)
+            return out
+        if kind is _PRE:
+            self.banks[bank_index].precharge(now_ps)
             return None
-        if kind is CommandKind.REF:
+        if kind is _PREA:
+            Bank.precharge_all(self.banks, now_ps)
+            return None
+        if kind is _REF:
             self._begin_refresh(now_ps)
             return None
-        if kind is CommandKind.SRE:
+        if kind is _DES or kind is _NOP or kind is _ZQCL or kind is _MRS:
+            return None
+        if kind is _SRE:
             self._begin_refresh(now_ps)
             self.in_self_refresh = True
             return None
-        if kind is CommandKind.SRX:
+        if kind is _SRX:
             self.in_self_refresh = False
             return None
         raise ProtocolError(f"{self.name}: unhandled command {command}")
 
-    def _check_tfaw(self, now_ps: int) -> None:
-        from repro.errors import TimingViolationError
-        if (len(self._act_history) == 4
-                and now_ps - self._act_history[0] < self.spec.tfaw_ps):
-            raise TimingViolationError(
-                f"{self.name}: fifth ACT within tFAW "
-                f"({now_ps - self._act_history[0]} ps since the fourth-"
-                f"last, tFAW={self.spec.tfaw_ps} ps)")
-
     def _begin_refresh(self, now_ps: int) -> None:
-        for bank in self.banks:
-            bank.begin_refresh(now_ps)
+        Bank.begin_refresh_all(self.banks, now_ps)
         self.refresh_end_ps = now_ps + self.spec.trfc_device_ps
         self.refresh_row_counter = (
             (self.refresh_row_counter + 1) % 8192)
@@ -156,9 +168,7 @@ class DRAMDevice(SnapshotMixin):
 
     def complete_refresh(self, now_ps: int) -> None:
         """Called tRFC_device after REF: banks become usable again."""
-        for bank in self.banks:
-            if bank.state is BankState.REFRESHING:
-                bank.end_refresh(now_ps)
+        Bank.end_refresh_all(self.banks, now_ps)
 
     def maybe_complete_refresh(self, now_ps: int) -> None:
         """Idempotent refresh completion for pull-style callers.
@@ -168,7 +178,7 @@ class DRAMDevice(SnapshotMixin):
         references are accurate.
         """
         if (self.refresh_end_ps >= 0 and now_ps >= self.refresh_end_ps
-                and self.banks[0].state is BankState.REFRESHING):
+                and self.banks[0].state is _REFRESHING):
             self.complete_refresh(self.refresh_end_ps)
 
     # -- data store --------------------------------------------------------------
@@ -180,16 +190,6 @@ class DRAMDevice(SnapshotMixin):
             buf = bytearray(self.spec.row_size_bytes)
             self._rows[key] = buf
         return buf
-
-    def _burst_read(self, command: Command) -> bytes:
-        buf = self._row_buffer(command.bank, command.row)
-        start = command.column * self.spec.burst_bytes
-        return bytes(buf[start:start + self.spec.burst_bytes])
-
-    def _burst_write(self, command: Command, data: bytes) -> None:
-        buf = self._row_buffer(command.bank, command.row)
-        start = command.column * self.spec.burst_bytes
-        buf[start:start + self.spec.burst_bytes] = data
 
     # -- backdoor access (verification / power-failure drain) ---------------------
 
